@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -83,6 +84,9 @@ type Coordinator struct {
 	closeErr  error
 	lnClose   func() error
 	wg        sync.WaitGroup
+
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{} // accepted connections; nil once closing
 }
 
 // Option configures a Coordinator.
@@ -183,6 +187,7 @@ func New(opts ...Option) (*Coordinator, error) {
 		maxBatch: DefaultMaxBatch,
 		queueCap: DefaultQueueCapacity,
 		rm:       metrics.NewRequestMetrics(),
+		conns:    make(map[net.Conn]struct{}),
 		uploads:  make(map[int32][]service.PeerRank),
 		profiles: make(map[int32]service.ProfileSpec),
 	}
@@ -257,14 +262,6 @@ func New(opts ...Option) (*Coordinator, error) {
 		c.senders[i] = newOrderedSender(i, c.pools[i], c.health[i], c.cm, c.fo, c.maxBatch, c.queueCap)
 	}
 	return c, nil
-}
-
-// NewWithAddrs builds a coordinator over the shards at addrs with
-// positional population and anonymity arguments.
-//
-// Deprecated: use New with WithNumUsers/WithK/WithShardAddrs (removal: 2026-09).
-func NewWithAddrs(numUsers, k int, addrs []string, opts ...Option) (*Coordinator, error) {
-	return New(append([]Option{WithNumUsers(numUsers), WithK(k), WithShardAddrs(addrs...)}, opts...)...)
 }
 
 // Shards returns the number of shards.
@@ -867,14 +864,16 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 	return nil
 }
 
-// Close shuts the protocol listener (if serving), the ordered senders,
-// and every shard connection. Shards spawned via WithShards are closed
-// too; external shards are their owner's to stop.
+// Close shuts the protocol listener and its client connections (if
+// serving), the ordered senders, and every shard connection. Shards
+// spawned via WithShards are closed too; external shards are their
+// owner's to stop.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		if c.lnClose != nil {
 			c.closeErr = c.lnClose()
 		}
+		c.closeConns()
 		c.wg.Wait()
 		// Pools first: closing the ordered connection unblocks a sender
 		// mid-round-trip, then the senders' goroutines exit.

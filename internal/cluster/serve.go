@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -14,20 +11,27 @@ import (
 
 // Listen starts the coordinator's protocol listener on addr and returns
 // the bound address. It speaks the same line-delimited JSON protocol as
-// a single cloakd (v0 and v1), so existing clients work unchanged
-// against a cluster.
+// a single cloakd (v0 and v1), through the same codec and line loop
+// (service.ServeLines), so existing clients work unchanged against a
+// cluster. The listener and every accepted connection stay open until
+// ctx is canceled or Close is called.
 func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	c.lnClose = ln.Close
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			ln.Close()
-		}()
+	ctx, cancel := context.WithCancel(ctx)
+	c.lnClose = func() error {
+		cancel()
+		return ln.Close()
 	}
+	go func() {
+		<-ctx.Done()
+		ln.Close()
+	}()
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -36,38 +40,58 @@ func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error)
 			if err != nil {
 				return
 			}
+			if !c.track(conn) {
+				conn.Close()
+				return
+			}
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				c.serveConn(ctx, conn)
+				defer c.untrack(conn)
+				defer conn.Close()
+				service.ServeLines(ctx, conn, 0, c.rm, c.serveRequest)
 			}()
 		}
 	}()
 	return ln.Addr(), nil
 }
 
-func (c *Coordinator) serveConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), service.MaxLineBytes)
-	enc := json.NewEncoder(conn)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		req, err := service.ParseRequest(line)
-		if err != nil {
-			_ = enc.Encode(service.Response{Error: err.Error()})
-			continue
-		}
-		start := time.Now()
-		resp, ok := c.handle(ctx, req)
-		c.rm.Observe(string(req.Op), time.Since(start), ok)
-		if enc.Encode(resp) != nil {
-			return
-		}
+// track registers an accepted connection so Close can close it; false
+// means the coordinator is already closing.
+func (c *Coordinator) track(conn net.Conn) bool {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.conns == nil {
+		return false
 	}
+	c.conns[conn] = struct{}{}
+	return true
+}
+
+func (c *Coordinator) untrack(conn net.Conn) {
+	c.connMu.Lock()
+	delete(c.conns, conn)
+	c.connMu.Unlock()
+}
+
+// closeConns closes every accepted connection — a handler blocked
+// reading an idle client must not stall Close — and refuses new ones.
+func (c *Coordinator) closeConns() {
+	c.connMu.Lock()
+	for conn := range c.conns {
+		conn.Close()
+	}
+	c.conns = nil
+	c.connMu.Unlock()
+}
+
+// serveRequest answers one parsed request and folds it into the
+// coordinator's request metrics.
+func (c *Coordinator) serveRequest(ctx context.Context, req service.Request) any {
+	start := time.Now()
+	resp, ok := c.handle(ctx, req)
+	c.rm.Observe(string(req.Op), time.Since(start), ok)
+	return resp
 }
 
 // handle answers one request in the shape its protocol version expects.

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bufio"
+	"encoding/json"
+	"net"
 	"testing"
+	"time"
 
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/service"
@@ -129,5 +133,78 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 	}
 	if len(cl.Cluster) != 2 {
 		t.Fatalf("cloak(20) = %v, want the batched pair", cl.Cluster)
+	}
+}
+
+// TestCoordinatorCloseWithOpenClients is the regression test for Close
+// hanging while a client connection stays open: cloakd -coordinator
+// calls Close on Ctrl-C whatever its clients are doing. It also pins
+// that a malformed line is answered, counted as "malformed", and does
+// not end the connection — as on a shard.
+func TestCoordinatorCloseWithOpenClients(t *testing.T) {
+	coord := startCluster(t, 10, 2, 2, nil, nil)
+	addr, err := coord.Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := service.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if err := idle.Ping(); err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+
+	raw, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rd := bufio.NewReader(raw)
+	for _, line := range []string{"not json", `{"op":"ping"}`} {
+		if _, err := raw.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("no reply to %q: %v", line, err)
+		}
+		var resp service.Response
+		if err := json.Unmarshal(reply, &resp); err != nil {
+			t.Fatalf("reply %q: %v", reply, err)
+		}
+		if wantOK := line != "not json"; resp.OK != wantOK {
+			t.Fatalf("reply to %q = %s", line, reply)
+		}
+	}
+	var malformed uint64
+	for _, op := range coord.Metrics().Snapshot().Ops {
+		if op.Op == "malformed" {
+			malformed = op.Count
+		}
+	}
+	if malformed != 1 {
+		t.Errorf("coordinator counted %d malformed requests, want 1", malformed)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- coord.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close did not return with two client connections open")
+	}
+	if err := idle.Ping(); err == nil {
+		t.Error("ping succeeded after Close")
+	}
+	if _, err := rd.ReadBytes('\n'); err == nil {
+		t.Error("raw connection still open after Close")
 	}
 }

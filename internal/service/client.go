@@ -10,11 +10,13 @@ import (
 
 // Client is a device-side connection to the anonymizer service. The
 // legacy methods (Upload, Freeze, Cloak, Stats) speak v0; the *V1
-// methods and Rotate/EpochStatus speak the v1 envelope protocol.
+// methods and Rotate/EpochStatus speak the v1 envelope protocol. A
+// Client runs one round trip at a time.
 type Client struct {
 	conn      net.Conn
-	dec       *json.Decoder
-	enc       *json.Encoder
+	br        *bufio.Reader
+	out       []byte // the request line, reused across round trips
+	long      []byte // reply lines longer than br's buffer
 	opTimeout time.Duration
 }
 
@@ -57,12 +59,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: dial %s: %w", addr, err)
 	}
-	return &Client{
-		conn:      conn,
-		dec:       json.NewDecoder(bufio.NewReader(conn)),
-		enc:       json.NewEncoder(conn),
-		opTimeout: cfg.opTimeout,
-	}, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn), opTimeout: cfg.opTimeout}, nil
 }
 
 // Close closes the connection.
@@ -80,13 +77,32 @@ func (c *Client) arm() {
 	}
 }
 
-func (c *Client) roundTrip(req Request) (Response, error) {
+// exchange writes req's line and returns the reply line (valid until
+// the next round trip).
+func (c *Client) exchange(req *Request) ([]byte, error) {
 	c.arm()
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, fmt.Errorf("service: send %s: %w", req.Op, err)
+	out, err := appendRequest(c.out[:0], req)
+	if err != nil {
+		return nil, fmt.Errorf("service: send %s: %w", req.Op, err)
+	}
+	c.out = out
+	if _, err := c.conn.Write(out); err != nil {
+		return nil, fmt.Errorf("service: send %s: %w", req.Op, err)
+	}
+	line, err := readLine(c.br, &c.long)
+	if err != nil {
+		return nil, fmt.Errorf("service: receive %s: %w", req.Op, err)
+	}
+	return line, nil
+}
+
+func (c *Client) roundTrip(req Request) (Response, error) {
+	line, err := c.exchange(&req)
+	if err != nil {
+		return Response{}, err
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := json.Unmarshal(line, &resp); err != nil {
 		return Response{}, fmt.Errorf("service: receive %s: %w", req.Op, err)
 	}
 	if !resp.OK {
@@ -99,13 +115,13 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 // server answering a malformed line replies in the v0 shape; that still
 // decodes here (V stays 0, Error carries the reason).
 func (c *Client) roundTripV1(req Request) (Envelope, error) {
-	c.arm()
 	req.V = ProtocolVersion
-	if err := c.enc.Encode(req); err != nil {
-		return Envelope{}, fmt.Errorf("service: send %s: %w", req.Op, err)
+	line, err := c.exchange(&req)
+	if err != nil {
+		return Envelope{}, err
 	}
 	var env Envelope
-	if err := c.dec.Decode(&env); err != nil {
+	if err := decodeEnvelope(line, &env); err != nil {
 		return Envelope{}, fmt.Errorf("service: receive %s: %w", req.Op, err)
 	}
 	if !env.OK {

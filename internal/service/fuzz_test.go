@@ -8,10 +8,16 @@ import (
 )
 
 // FuzzProtocolDecode throws arbitrary bytes at the wire codec and the
-// request dispatcher: ParseRequest must never panic, accepted requests
-// must survive a marshal/re-parse round trip unchanged, and Handle must
-// return a well-formed response for anything the codec lets through.
+// request dispatcher: ParseRequest must never panic and must agree with
+// encoding/json on every input (both reject, or both accept the same
+// request), accepted requests must re-encode byte-identically to
+// json.Marshal and survive a marshal/re-parse round trip unchanged, and
+// Handle must return a well-formed response for anything the codec lets
+// through.
 func FuzzProtocolDecode(f *testing.F) {
+	for _, line := range requestLines {
+		f.Add([]byte(line))
+	}
 	f.Add([]byte(`{"op":"ping"}`))
 	f.Add([]byte(`{"op":"upload","user":3,"peers":[{"peer":1,"rank":1},{"peer":2,"rank":2}]}`))
 	f.Add([]byte(`{"op":"cloak","user":0}`))
@@ -36,6 +42,7 @@ func FuzzProtocolDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, line []byte) {
+		checkRequestLine(t, line)
 		req, err := ParseRequest(line)
 		if err != nil {
 			// Rejected input: the error must carry the reason, and the
@@ -56,12 +63,10 @@ func FuzzProtocolDecode(f *testing.F) {
 		if perr != nil {
 			t.Fatalf("re-encoded request rejected: %v\nline: %s", perr, encoded)
 		}
-		// Normalize the one lossy spot in the codec: omitempty drops an
-		// empty peers array, so it re-decodes as nil — same request.
-		if len(req.Peers) == 0 {
-			req.Peers = nil
-		}
-		if !reflect.DeepEqual(req, again) {
+		// Normalize the lossy spots of the encoding: omitempty drops an
+		// empty peers or uploads array, so it re-decodes as nil — same
+		// request.
+		if !reflect.DeepEqual(dropEmptyLists(req), again) {
 			t.Fatalf("round trip changed the request:\n  first: %+v\n  again: %+v", req, again)
 		}
 
@@ -117,4 +122,38 @@ func TestParseRequestStrictness(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzEnvelopeDecode throws arbitrary reply lines at the client's
+// envelope decoder: it must agree with json.Unmarshal on every input,
+// and every envelope it accepts must re-encode byte-identically to
+// json.Marshal.
+func FuzzEnvelopeDecode(f *testing.F) {
+	for _, line := range envelopeLines {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkEnvelopeLine(t, line)
+	})
+}
+
+// dropEmptyLists returns req with every empty peers and uploads list
+// set to nil, the way a json.Marshal round trip leaves them.
+func dropEmptyLists(req Request) Request {
+	if len(req.Peers) == 0 {
+		req.Peers = nil
+	}
+	if len(req.Uploads) == 0 {
+		req.Uploads = nil
+	}
+	entries := append([]UploadEntry(nil), req.Uploads...)
+	for i := range entries {
+		if len(entries[i].Peers) == 0 {
+			entries[i].Peers = nil
+		}
+	}
+	if entries != nil {
+		req.Uploads = entries
+	}
+	return req
 }

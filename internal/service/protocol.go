@@ -13,10 +13,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-
 	"nonexposure/internal/epoch"
 	"nonexposure/internal/wpg"
 )
@@ -125,28 +121,6 @@ type Response struct {
 // supported population fits comfortably; anything longer is a protocol
 // violation, not a request.
 const MaxLineBytes = 1 << 20
-
-// ParseRequest decodes one protocol line into a Request. The line must
-// hold exactly one JSON object — trailing non-whitespace data is
-// rejected, as is an empty line — so a malformed client cannot smuggle a
-// second request into the same line.
-func ParseRequest(line []byte) (Request, error) {
-	var req Request
-	trimmed := bytes.TrimSpace(line)
-	if len(trimmed) == 0 {
-		return req, fmt.Errorf("service: empty request line")
-	}
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	if err := dec.Decode(&req); err != nil {
-		return Request{}, fmt.Errorf("service: malformed request: %w", err)
-	}
-	// Decode stops at the end of the first JSON value; with the
-	// whitespace already trimmed, any unconsumed byte is trailing data.
-	if dec.InputOffset() != int64(len(trimmed)) {
-		return Request{}, fmt.Errorf("service: trailing data after request")
-	}
-	return req, nil
-}
 
 // buildGraph assembles the WPG from per-user rank uploads. Kept as the
 // package-local name for the reconstruction, now shared with the epoch

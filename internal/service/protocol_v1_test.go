@@ -149,7 +149,7 @@ func TestV1LifecycleOverTCP(t *testing.T) {
 func TestV1PolicyDrivenRebuildOverTCP(t *testing.T) {
 	const n = 10
 	srv, err := New(WithNumUsers(n), WithK(2),
-		WithRebuildPolicy(epoch.Policy{EveryUploads: n}))
+		WithEpochOptions(epoch.WithPolicy(epoch.Policy{EveryUploads: n})))
 	if err != nil {
 		t.Fatal(err)
 	}

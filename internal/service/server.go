@@ -1,10 +1,7 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -86,15 +83,6 @@ func WithEpochOptions(opts ...epoch.Option) Option {
 	return func(s *Server) { s.epochOpts = append(s.epochOpts, opts...) }
 }
 
-// WithRebuildPolicy sets the automatic epoch rebuild policy. The default
-// is manual: only freeze/rotate requests trigger rebuilds, which is the
-// legacy freeze-once behavior.
-//
-// Deprecated: use WithEpochOptions(epoch.WithPolicy(p)) (removal: 2026-09).
-func WithRebuildPolicy(p epoch.Policy) Option {
-	return WithEpochOptions(epoch.WithPolicy(p))
-}
-
 // WithMetrics attaches epoch pipeline metrics (nil is fine; request
 // metrics are always collected regardless).
 func WithMetrics(em *metrics.EpochMetrics) Option { return func(s *Server) { s.em = em } }
@@ -103,22 +91,6 @@ func WithMetrics(em *metrics.EpochMetrics) Option { return func(s *Server) { s.e
 // sends nothing for this long is disconnected (default 2m; <= 0
 // disables).
 func WithIdleTimeout(d time.Duration) Option { return func(s *Server) { s.idleTimeout = d } }
-
-// WithFullRebuild forces every epoch rebuild to run from scratch
-// instead of the default incremental sharded path.
-//
-// Deprecated: use WithEpochOptions(epoch.WithIncremental(!on)) (removal: 2026-09).
-func WithFullRebuild(on bool) Option {
-	return WithEpochOptions(epoch.WithIncremental(!on))
-}
-
-// WithIngestBuffers enables contention-aware buffered upload ingestion
-// with n per-shard buffers (sharded by user id).
-//
-// Deprecated: use WithEpochOptions(epoch.WithIngestBuffers(n)) (removal: 2026-09).
-func WithIngestBuffers(n int) Option {
-	return WithEpochOptions(epoch.WithIngestBuffers(n))
-}
 
 // WithTraceRecorder enables request tracing: every handled request gets
 // a root span threaded down through the epoch pipeline, anonymizer, and
@@ -263,52 +235,19 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// serveConn handles one client: JSON request per line, JSON response per
-// line, until ctx dies, the idle deadline passes, or the client hangs
-// up. Malformed lines get an error response instead of a dropped
-// connection, so one bad request does not kill a pipelined client; an
-// over-long line is unrecoverable (the framing is lost) and does.
-// Requests carrying "v":1 are answered with the v1 Envelope.
+// serveConn handles one client with the shared line loop (see
+// ServeLines): requests carrying "v":1 are answered with the v1
+// Envelope, the rest in the legacy shape.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	s.track(conn)
 	defer s.untrack(conn)
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
-	enc := json.NewEncoder(conn)
-	for {
-		if ctx.Err() != nil {
-			return
+	ServeLines(ctx, conn, s.idleTimeout, s.reqMetrics, func(ctx context.Context, req Request) any {
+		if req.V >= 1 {
+			return s.HandleEnvelope(ctx, req)
 		}
-		if s.idleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-				return
-			}
-		}
-		if !sc.Scan() {
-			return
-		}
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		req, err := ParseRequest(line)
-		var out any
-		switch {
-		case err != nil:
-			// The version of a malformed line is unknowable; reply with the
-			// legacy shape, which v1 clients also understand.
-			out = Response{Error: err.Error()}
-			s.reqMetrics.Observe("malformed", 0, false)
-		case req.V >= 1:
-			out = s.HandleEnvelope(ctx, req)
-		default:
-			out = s.handleV0(ctx, req)
-		}
-		if err := enc.Encode(out); err != nil {
-			return
-		}
-	}
+		return s.handleV0(ctx, req)
+	})
 }
 
 // Handle processes one v0 request; exported so tests (and alternative

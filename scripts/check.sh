@@ -15,13 +15,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-# Deprecation markers are only allowed on the dated shims scheduled
-# for removal in 2026-09 (the three WithEpochOptions shims and the
-# cluster.NewWithAddrs constructor); anything else must delete the API
-# instead of deprecating it.
-echo "==> no undated '// Deprecated:' markers"
-if grep -rn "Deprecated:" --include='*.go' . | grep -v "removal: 2026-09"; then
-    echo "undated deprecation markers found (remove the API, or date it 'removal: 2026-09')" >&2
+# An API being replaced is deleted in the same change, with its callers
+# migrated; it is never left behind as a deprecated shim.
+echo "==> no '// Deprecated:' markers"
+if grep -rn "Deprecated:" --include='*.go' .; then
+    echo "deprecation markers found (remove the API and migrate its callers instead)" >&2
     exit 1
 fi
 
@@ -64,8 +62,10 @@ echo "==> examples build + vet"
 go vet ./examples/...
 go build ./examples/...
 
-echo "==> go test -race ./..."
-go test -race ./...
+# Both scheduler shapes: -cpu 1 serializes goroutines the way a 1-core
+# box does, -cpu 2 lets them run in parallel.
+echo "==> go test -race -cpu 1,2 ./..."
+go test -race -cpu 1,2 ./...
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
@@ -114,6 +114,9 @@ go test -bench='^BenchmarkCoordinatorUploadBatch$' -benchtime=1x -run '^$' ./int
 # tests, which already ran above).
 echo "==> go test -fuzz=FuzzProtocolDecode (10s)"
 go test -fuzz='^FuzzProtocolDecode$' -fuzztime=10s -run '^$' ./internal/service
+
+echo "==> go test -fuzz=FuzzEnvelopeDecode (10s)"
+go test -fuzz='^FuzzEnvelopeDecode$' -fuzztime=10s -run '^$' ./internal/service
 
 echo "==> go test -fuzz=FuzzBoundVotes (10s)"
 go test -fuzz='^FuzzBoundVotes$' -fuzztime=10s -run '^$' ./internal/core
