@@ -11,6 +11,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -522,15 +523,22 @@ func BenchmarkEpochCloakDuringRebuild(b *testing.B) {
 
 // BenchmarkEpochIncrementalRebuild measures one epoch rebuild under
 // partial churn: each iteration re-uploads a fixed fraction of the
-// population (whole WPG components, so the dirty set maps onto whole
-// shards), rotates, and waits for the generation to publish. "full"
+// population, rotates, and waits for the generation to publish. "full"
 // disables the incremental path — every shard re-clusters from scratch
 // regardless of churn. "incremental" splices every clean shard from the
 // previous generation, so rebuild latency scales with the churned
-// fraction instead of the population.
+// fraction instead of the population. The full and incremental/N arms
+// churn whole WPG components of a fully uploaded population, so the
+// dirty set maps onto whole shards: the best case for splicing.
+// "shard/10pct" has the shape of one shard of a two-shard cluster
+// instead: the coordinator homes every other component elsewhere, so
+// half the ids are mirrors with empty rows, and each iteration moves a
+// fresh random 10% of the homed users, which dirties most of the
+// shard's real components.
 func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 	pts := dataset.GaussianClusters(20000, 200, 0.004, 11)
 	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.008, MaxPeers: 10})
+	comps := g.Components()
 	uploads := make(map[int32][]epoch.RankedPeer, g.NumVertices())
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
 		var peers []epoch.RankedPeer
@@ -539,12 +547,18 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 		}
 		uploads[v] = peers
 	}
+	var homed []int32
+	for i, comp := range comps {
+		if i%2 == 0 {
+			homed = append(homed, comp...)
+		}
+	}
 	// churnSet gathers whole components until they cover frac of the
 	// population, so each iteration dirties a predictable share of shards.
 	churnSet := func(frac float64) []int32 {
 		target := int(frac * float64(g.NumVertices()))
 		var users []int32
-		for _, comp := range g.Components() {
+		for _, comp := range comps {
 			if len(users) >= target {
 				break
 			}
@@ -552,15 +566,15 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 		}
 		return users
 	}
-	run := func(b *testing.B, frac float64, incremental bool) {
+	run := func(b *testing.B, population []int32, churn func(i int) []int32, incremental bool) {
 		m, err := epoch.New(g.NumVertices(), epoch.WithK(10), epoch.WithIncremental(incremental))
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer m.Close()
 		ctx := context.Background()
-		for v, peers := range uploads {
-			if err := m.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers}); err != nil {
+		for _, v := range population {
+			if err := m.Upload(ctx, epoch.UploadRequest{User: v, Peers: uploads[v]}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -570,10 +584,9 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 		if err := m.Sync(ctx); err != nil {
 			b.Fatal(err)
 		}
-		churn := churnSet(frac)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, u := range churn {
+			for _, u := range churn(i) {
 				peers := append([]epoch.RankedPeer(nil), uploads[u]...)
 				if len(peers) > 0 {
 					peers[0].Rank += int32(1 + i%3) // a real rank change every iteration
@@ -599,10 +612,27 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 			b.ReportMetric(float64(gen.ShardsTotal), "shards_total")
 		}
 	}
-	b.Run("full/10pct", func(b *testing.B) { run(b, 0.10, false) })
-	b.Run("incremental/1pct", func(b *testing.B) { run(b, 0.01, true) })
-	b.Run("incremental/10pct", func(b *testing.B) { run(b, 0.10, true) })
-	b.Run("incremental/50pct", func(b *testing.B) { run(b, 0.50, true) })
+	all := make([]int32, g.NumVertices())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	components := func(frac float64) func(int) []int32 {
+		users := churnSet(frac)
+		return func(int) []int32 { return users }
+	}
+	movers := func(i int) []int32 {
+		rng := rand.New(rand.NewSource(int64(i)))
+		out := make([]int32, len(homed)/10)
+		for j, k := range rng.Perm(len(homed))[:len(out)] {
+			out[j] = homed[k]
+		}
+		return out
+	}
+	b.Run("full/10pct", func(b *testing.B) { run(b, all, components(0.10), false) })
+	b.Run("incremental/1pct", func(b *testing.B) { run(b, all, components(0.01), true) })
+	b.Run("incremental/10pct", func(b *testing.B) { run(b, all, components(0.10), true) })
+	b.Run("incremental/50pct", func(b *testing.B) { run(b, all, components(0.50), true) })
+	b.Run("shard/10pct", func(b *testing.B) { run(b, homed, movers, true) })
 }
 
 // --- Component micro-benchmarks ----------------------------------------------

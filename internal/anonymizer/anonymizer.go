@@ -134,10 +134,14 @@ func (s *Server) Build(ctx context.Context) error {
 // entry point. clusters must be whole-graph clustering output —
 // disjoint member sets ordered and numbered exactly as
 // core.CentralizedTConnParallel emits them — and skipped is the number
-// of users left in undersized components. Adopt takes the same
-// build-claim latch as Build/first-Cloak, so it is mutually exclusive
-// with them and idempotent-hostile by design: adopting into a server
-// that already built (or adopted) returns an error.
+// of users left in undersized components. The registry adopts each
+// cluster's member slice by reference (core.Registry.AdoptBatch): it
+// must be sorted ascending and never written again, which lets
+// generations share the members of every spliced component. Adopt
+// takes the same build-claim latch as Build/first-Cloak, so it is
+// mutually exclusive with them and idempotent-hostile by design:
+// adopting into a server that already built (or adopted) returns an
+// error.
 func (s *Server) Adopt(ctx context.Context, clusters []*core.Cluster, skipped int) error {
 	if !s.claimed.CompareAndSwap(false, true) {
 		return fmt.Errorf("anonymizer: Adopt on an already-built server (epoch %d)", s.epoch)
@@ -150,7 +154,7 @@ func (s *Server) Adopt(ctx context.Context, clusters []*core.Cluster, skipped in
 		memberSets[i] = c.Members
 		ts[i] = c.T
 	}
-	_, err := s.reg.AddBatch(memberSets, ts)
+	_, err := s.reg.AdoptBatch(memberSets, ts)
 	rsp.End()
 	if err != nil {
 		s.buildErr = fmt.Errorf("anonymizer: adopt clusters: %w", err)

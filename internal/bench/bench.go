@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -66,7 +67,15 @@ type CellParams struct {
 	// Optional axis: omitted from the JSON and the cell ID when empty so
 	// pre-profile baselines keep their IDs.
 	Profiles string `json:"profiles,omitempty"`
+	// GOMAXPROCS runs the cell's reps under this runtime.GOMAXPROCS (at
+	// most MaxGOMAXPROCS); 0 leaves the process setting alone. Optional
+	// axis: omitted from the JSON and the cell ID when 0 so baselines
+	// from before the axis existed keep their IDs.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 }
+
+// MaxGOMAXPROCS bounds the GOMAXPROCS axis.
+const MaxGOMAXPROCS = 256
 
 // ID renders the canonical cell key used in reports and diffs.
 func (p CellParams) ID() string {
@@ -76,6 +85,9 @@ func (p CellParams) ID() string {
 	}
 	if p.Profiles != "" {
 		id += fmt.Sprintf("/profiles=%s", p.Profiles)
+	}
+	if p.GOMAXPROCS > 0 {
+		id += fmt.Sprintf("/gomaxprocs=%d", p.GOMAXPROCS)
 	}
 	return id
 }
@@ -99,6 +111,9 @@ func (p CellParams) Validate() error {
 	}
 	if p.Profiles != "" && p.Profiles != ProfileMixMixed {
 		return fmt.Errorf("bench: unknown profile mix %q", p.Profiles)
+	}
+	if p.GOMAXPROCS < 0 || p.GOMAXPROCS > MaxGOMAXPROCS {
+		return fmt.Errorf("bench: gomaxprocs %d outside [0,%d]", p.GOMAXPROCS, MaxGOMAXPROCS)
 	}
 	return nil
 }
@@ -155,19 +170,24 @@ type Grid struct {
 	// "" = all defaults). Empty means [""], so grids from before the
 	// axis existed expand to the same cells.
 	Profiles []string `json:"profiles,omitempty"`
+	// GOMAXPROCS is the optional seventh axis (runtime.GOMAXPROCS per
+	// cell; 0 = the process setting). Empty means [0], so grids from
+	// before the axis existed expand to the same cells.
+	GOMAXPROCS []int `json:"gomaxprocs,omitempty"`
 	CellConfig
 }
 
-// DefaultGrid is the checked-in baseline sweep: 16 cells × 3 reps,
-// sized to finish in a few minutes on a small CI box while still
+// DefaultGrid is the checked-in baseline sweep: 32 cells × 3 reps,
+// sized to finish in well under a minute on a small CI box while still
 // spanning a 4× population range, two anonymity levels, light and
-// heavy churn, and serial vs parallel serving.
+// heavy churn, serial vs parallel serving, and one vs two cores.
 func DefaultGrid() Grid {
 	return Grid{
 		Populations: []int{1000, 4000},
 		Ks:          []int{5, 10},
 		ChurnFracs:  []float64{0.02, 0.1},
 		Workers:     []int{1, 4},
+		GOMAXPROCS:  []int{1, 2},
 		CellConfig: CellConfig{
 			Ticks:    4,
 			Requests: 2000,
@@ -263,8 +283,8 @@ func (g Grid) Validate() error {
 }
 
 // Cells expands the grid into its cross product, in a fixed axis order
-// (population, k, churn, workers, ingest buffers, profiles) so cell
-// order — and thus report layout — is deterministic.
+// (population, k, churn, workers, ingest buffers, profiles, GOMAXPROCS)
+// so cell order — and thus report layout — is deterministic.
 func (g Grid) Cells() []CellParams {
 	ingest := g.IngestBuffers
 	if len(ingest) == 0 {
@@ -274,6 +294,10 @@ func (g Grid) Cells() []CellParams {
 	if len(profiles) == 0 {
 		profiles = []string{""}
 	}
+	procs := g.GOMAXPROCS
+	if len(procs) == 0 {
+		procs = []int{0}
+	}
 	var cells []CellParams
 	for _, n := range g.Populations {
 		for _, k := range g.Ks {
@@ -281,7 +305,10 @@ func (g Grid) Cells() []CellParams {
 				for _, w := range g.Workers {
 					for _, ib := range ingest {
 						for _, pm := range profiles {
-							cells = append(cells, CellParams{N: n, K: k, ChurnFrac: cf, Workers: w, IngestBuffers: ib, Profiles: pm})
+							for _, gp := range procs {
+								cells = append(cells, CellParams{N: n, K: k, ChurnFrac: cf, Workers: w,
+									IngestBuffers: ib, Profiles: pm, GOMAXPROCS: gp})
+							}
 						}
 					}
 				}
@@ -378,6 +405,10 @@ func RunCell(p CellParams, cfg CellConfig) (CellResult, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return CellResult{}, err
+	}
+	if p.GOMAXPROCS > 0 {
+		// Set now; the deferred call restores the previous setting.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p.GOMAXPROCS))
 	}
 	res := CellResult{ID: p.ID(), Params: p, Metrics: make(map[string]Metric)}
 	samples := make(map[string][]float64)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,10 @@ import (
 func TestGridCellsCrossProduct(t *testing.T) {
 	g := DefaultGrid()
 	cells := g.Cells()
-	want := len(g.Populations) * len(g.Ks) * len(g.ChurnFracs) * len(g.Workers)
+	if len(g.GOMAXPROCS) != 2 {
+		t.Fatalf("default GOMAXPROCS axis = %v, want one and two cores", g.GOMAXPROCS)
+	}
+	want := len(g.Populations) * len(g.Ks) * len(g.ChurnFracs) * len(g.Workers) * len(g.GOMAXPROCS)
 	if len(cells) != want {
 		t.Fatalf("cells = %d, want %d", len(cells), want)
 	}
@@ -194,5 +198,47 @@ func TestReportJSONStable(t *testing.T) {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("report JSON missing key %s", key)
 		}
+	}
+}
+
+// TestGOMAXPROCSAxis: the axis is invisible at 0 (cell ID and JSON
+// match a grid from before it existed), tags the ID when set, is
+// range-checked, and a cell run under it restores the process setting.
+func TestGOMAXPROCSAxis(t *testing.T) {
+	p := CellParams{N: 300, K: 5, ChurnFrac: 0.1, Workers: 1}
+	if p.ID() != "n=300/k=5/churn=0.1/workers=1" {
+		t.Errorf("ID at 0 = %q", p.ID())
+	}
+	if b, _ := json.Marshal(p); strings.Contains(string(b), "gomaxprocs") {
+		t.Errorf("JSON at 0 carries the axis: %s", b)
+	}
+	p.GOMAXPROCS = 1
+	if p.ID() != "n=300/k=5/churn=0.1/workers=1/gomaxprocs=1" {
+		t.Errorf("ID at 1 = %q", p.ID())
+	}
+	for _, bad := range []int{-1, MaxGOMAXPROCS + 1} {
+		q := p
+		q.GOMAXPROCS = bad
+		if q.Validate() == nil {
+			t.Errorf("gomaxprocs %d accepted", bad)
+		}
+	}
+	before := runtime.GOMAXPROCS(0)
+	cfg := TinyGrid().CellConfig
+	res, err := RunCell(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.GOMAXPROCS(0); got != before {
+		t.Errorf("GOMAXPROCS after the cell = %d, want %d restored", got, before)
+	}
+	// The outcome is a function of the inputs, not of the core count.
+	p.GOMAXPROCS = 0
+	ref, err := RunCell(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Determinism != ref.Determinism {
+		t.Errorf("determinism differs across GOMAXPROCS: %+v vs %+v", res.Determinism, ref.Determinism)
 	}
 }

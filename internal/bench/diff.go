@@ -64,27 +64,32 @@ func (d Delta) String() string {
 		d.Cell, d.Metric, d.Base.Mean, d.Cur.Mean, math.Abs(d.Rel)*100, arrow, d.Base.Std, d.Cur.Std)
 }
 
-// DiffResult is the gate's verdict: Regressions is what fails the run;
-// Suspects are bad-direction moves past the threshold that the noise
-// rule could not confirm; Warnings cover structural mismatches
-// (missing cells, changed grids, environment drift).
+// DiffResult is the gate's verdict: Regressions and Drift are what fail
+// the run; Suspects are bad-direction moves past the threshold that
+// the noise rule could not confirm; Warnings cover structural
+// mismatches (missing cells, changed grids, environment drift).
 type DiffResult struct {
-	Regressions []Delta  `json:"regressions"`
-	Suspects    []Delta  `json:"suspects"`
-	Improved    []Delta  `json:"improved"`
-	Warnings    []string `json:"warnings"`
+	Regressions []Delta `json:"regressions"`
+	// Drift lists the cells whose deterministic outcome changed although
+	// both reports ran the same cell config: behavior, not just speed,
+	// differs, which breaks the determinism contract.
+	Drift    []string `json:"drift"`
+	Suspects []Delta  `json:"suspects"`
+	Improved []Delta  `json:"improved"`
+	Warnings []string `json:"warnings"`
 }
 
 // OK reports whether the gate passes.
-func (r DiffResult) OK() bool { return len(r.Regressions) == 0 }
+func (r DiffResult) OK() bool { return len(r.Regressions) == 0 && len(r.Drift) == 0 }
 
 // Diff compares a current run against a baseline cell-by-cell with a
 // noise-aware threshold: a metric regresses only when its mean moved
 // more than opt.Threshold in the bad direction AND the movement
 // exceeds opt.NoiseSigmas pooled standard deviations — "fail loudly on
-// >15% mean regression when std allows the call". Cells or metrics
-// present on only one side produce warnings, not failures, so a grid
-// extension does not brick the gate.
+// >15% mean regression when std allows the call". A cell whose
+// determinism block changed under an identical cell config fails too.
+// Cells or metrics present on only one side produce warnings, not
+// failures, so a grid extension does not brick the gate.
 func Diff(base, cur *Report, opt DiffOptions) DiffResult {
 	opt = opt.withDefaults()
 	var res DiffResult
@@ -111,7 +116,7 @@ func Diff(base, cur *Report, opt DiffOptions) DiffResult {
 		}
 		if bc.Determinism != cc.Determinism &&
 			base.Grid.CellConfig == cur.Grid.CellConfig {
-			res.Warnings = append(res.Warnings, fmt.Sprintf(
+			res.Drift = append(res.Drift, fmt.Sprintf(
 				"cell %s: deterministic outcome changed (served %d->%d, transcript %.8s->%.8s) — behavior, not just speed, differs",
 				cc.ID, bc.Determinism.Served, cc.Determinism.Served,
 				bc.Determinism.TranscriptSHA256, cc.Determinism.TranscriptSHA256))
@@ -162,6 +167,7 @@ func Diff(base, cur *Report, opt DiffOptions) DiffResult {
 			return (*s)[i].Metric < (*s)[j].Metric
 		})
 	}
+	sort.Strings(res.Drift)
 	sort.Strings(res.Warnings)
 	return res
 }

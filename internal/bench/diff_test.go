@@ -115,35 +115,45 @@ func TestDiffSmallMovementBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestDiffWarnsOnCellMismatchAndDeterminismDrift(t *testing.T) {
+func TestDiffWarnsOnCellMismatch(t *testing.T) {
 	base := fakeReport(nil, 0.01)
-	cur := fakeReport(nil, 0.01)
-	cur.Cells[0].Determinism.Served = 97
-	cur.Cells[0].Determinism.Unclusterable = 3
-	res := Diff(base, cur, DiffOptions{})
-	if !res.OK() {
-		t.Fatalf("determinism drift must warn, not fail: %+v", res.Regressions)
-	}
-	wantWarn := func(sub string) {
-		for _, w := range res.Warnings {
-			if strings.Contains(w, sub) {
-				return
-			}
-		}
-		t.Errorf("warnings %v missing %q", res.Warnings, sub)
-	}
-	wantWarn("deterministic outcome changed")
-
 	// Disjoint cell sets: everything is a warning, nothing a failure.
 	other := fakeReport(nil, 0.01)
 	other.Cells[0].ID = "n=999/k=5/churn=0.1/workers=1"
 	other.Cells[0].Params.N = 999
-	res = Diff(base, other, DiffOptions{})
+	res := Diff(base, other, DiffOptions{})
 	if !res.OK() {
 		t.Fatalf("disjoint grids must not fail: %+v", res.Regressions)
 	}
 	if len(res.Warnings) < 2 {
 		t.Errorf("want new-cell and dropped-cell warnings, got %v", res.Warnings)
+	}
+}
+
+// TestDiffFailsOnDeterminismDrift: the determinism block is the
+// contract, so a changed outcome under the same cell config fails the
+// gate even when every timing metric is identical — and only then: a
+// changed cell config makes the outcomes incomparable.
+func TestDiffFailsOnDeterminismDrift(t *testing.T) {
+	base := fakeReport(nil, 0.01)
+	for name, drift := range map[string]func(*Determinism){
+		"served":     func(d *Determinism) { d.Served, d.Unclusterable = 97, 3 },
+		"transcript": func(d *Determinism) { d.TranscriptSHA256 = strings.Repeat("cd", 32) },
+		"shards":     func(d *Determinism) { d.ShardsRebuilt++ },
+	} {
+		cur := fakeReport(nil, 0.01)
+		drift(&cur.Cells[0].Determinism)
+		res := Diff(base, cur, DiffOptions{})
+		if res.OK() || len(res.Drift) != 1 || !strings.Contains(res.Drift[0], "deterministic outcome changed") {
+			t.Errorf("%s drift: ok=%v drift=%v", name, res.OK(), res.Drift)
+		}
+		if len(res.Regressions) != 0 {
+			t.Errorf("%s drift: timing regressions %v from identical metrics", name, res.Regressions)
+		}
+		cur.Grid.Seed++
+		if res := Diff(base, cur, DiffOptions{}); !res.OK() {
+			t.Errorf("%s drift under a different cell config must not fail: %v", name, res.Drift)
+		}
 	}
 }
 

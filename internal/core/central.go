@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nonexposure/internal/graph"
 	"nonexposure/internal/wpg"
@@ -69,15 +70,14 @@ func CentralizedTConnProfiled(g *wpg.Graph, k int, ks []int32) (clusters []*Clus
 
 	// Minimum spanning forest via Kruskal over ascending (W, U, V).
 	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
 		if a.W != b.W {
-			return a.W < b.W
+			return cmp.Compare(a.W, b.W)
 		}
 		if a.U != b.U {
-			return a.U < b.U
+			return cmp.Compare(a.U, b.U)
 		}
-		return a.V < b.V
+		return cmp.Compare(a.V, b.V)
 	})
 	uf := graph.NewUnionFind(n)
 	tree := make([]graph.Edge, 0, n-1)
@@ -216,7 +216,7 @@ func RegisterCentralized(g *wpg.Graph, k int, reg *Registry) ([]*Cluster, int, e
 }
 
 func sortedCopy(s []int32) []int32 {
-	out := append([]int32(nil), s...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(s)
+	slices.Sort(out)
 	return out
 }

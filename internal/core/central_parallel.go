@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"nonexposure/internal/graph"
 	"nonexposure/internal/trace"
 	"nonexposure/internal/wpg"
 )
@@ -117,27 +116,9 @@ func ClusterComponentProfiled(g *wpg.Graph, members []int32, k int, ks []int32) 
 		return nil, [][]int32{append([]int32(nil), members...)}
 	}
 
-	local := make(map[int32]int32, len(members))
-	for i, v := range members {
-		local[v] = int32(i)
-	}
-	var edges []graph.Edge
-	for _, v := range members {
-		lv := local[v]
-		for _, e := range g.Neighbors(v) {
-			lu, ok := local[e.To]
-			if !ok || lv >= lu {
-				continue
-			}
-			edges = append(edges, graph.Edge{U: lv, V: lu, W: e.W})
-		}
-	}
-	sub, err := wpg.FromEdges(len(members), edges)
-	if err != nil {
-		// The induced subgraph of a valid WPG is always a valid WPG.
-		panic(fmt.Sprintf("core: induced component subgraph: %v", err))
-	}
-	localClusters, localUndersized := CentralizedTConnProfiled(sub, k, localKs)
+	// A component is closed under adjacency and members is ascending,
+	// so the subgraph reads straight off g's sorted rows.
+	localClusters, localUndersized := CentralizedTConnProfiled(g.Induced(members), k, localKs)
 	for _, c := range localClusters {
 		for j, lv := range c.Members {
 			c.Members[j] = members[lv]

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -121,35 +122,76 @@ func (r *Registry) Add(members []int32, t int32) (*Cluster, error) {
 
 // AddBatch registers several clusters atomically: either all succeed or
 // none are applied. Used when a distributed run partitions its whole
-// spanned set at once.
+// spanned set at once. Each member set is copied and sorted, so the
+// caller keeps ownership of its slices.
 func (r *Registry) AddBatch(memberSets [][]int32, ts []int32) ([]*Cluster, error) {
+	return r.addBatch(memberSets, ts, false)
+}
+
+// AdoptBatch is AddBatch for member sets the caller hands over for
+// good: each must already be sorted strictly ascending, and nobody may
+// write into it afterwards. The registry's clusters then reference the
+// slices instead of copying and re-sorting them, which is what lets
+// successive epoch generations share the member lists of every
+// component they splice. Validation is AddBatch's, plus the order
+// check.
+func (r *Registry) AdoptBatch(memberSets [][]int32, ts []int32) ([]*Cluster, error) {
+	return r.addBatch(memberSets, ts, true)
+}
+
+// pending marks a user claimed by the batch being validated.
+const pending = -2
+
+func (r *Registry) addBatch(memberSets [][]int32, ts []int32, adopt bool) ([]*Cluster, error) {
 	if len(memberSets) != len(ts) {
 		return nil, fmt.Errorf("core: AddBatch: %d member sets but %d connectivities", len(memberSets), len(ts))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Validate everything up front so failure leaves no partial state.
-	seen := make(map[int32]bool)
-	for _, ms := range memberSets {
-		for _, v := range ms {
-			if int(v) < 0 || int(v) >= len(r.assign) {
-				return nil, fmt.Errorf("core: user %d out of range", v)
+	// The batch's users are marked pending in assign itself — a dense
+	// stamp that catches a user listed twice — and unmarked on failure.
+	fail := func(i, j int, err error) ([]*Cluster, error) {
+		for _, ms := range memberSets[:i] {
+			for _, v := range ms {
+				r.assign[v] = -1
 			}
-			if r.assign[v] >= 0 {
-				return nil, fmt.Errorf("core: user %d already in cluster %d", v, r.assign[v])
+		}
+		for _, v := range memberSets[i][:j] {
+			r.assign[v] = -1
+		}
+		return nil, err
+	}
+	for i, ms := range memberSets {
+		if len(ms) == 0 {
+			return fail(i, 0, fmt.Errorf("core: empty cluster"))
+		}
+		for j, v := range ms {
+			switch {
+			case int(v) < 0 || int(v) >= len(r.assign):
+				return fail(i, j, fmt.Errorf("core: user %d out of range", v))
+			case adopt && j > 0 && ms[j-1] >= v:
+				return fail(i, j, fmt.Errorf("core: adopted member set %d not strictly ascending at user %d", i, v))
+			case r.assign[v] == pending:
+				return fail(i, j, fmt.Errorf("core: user %d appears in two batch clusters", v))
+			case r.assign[v] >= 0:
+				return fail(i, j, fmt.Errorf("core: user %d already in cluster %d", v, r.assign[v]))
 			}
-			if seen[v] {
-				return nil, fmt.Errorf("core: user %d appears in two batch clusters", v)
-			}
-			seen[v] = true
+			r.assign[v] = pending
 		}
 	}
+	slab := make([]Cluster, len(memberSets))
 	out := make([]*Cluster, len(memberSets))
 	for i, ms := range memberSets {
-		c, err := r.addLocked(ms, ts[i])
-		if err != nil {
-			// Unreachable after validation, but keep the invariant loud.
-			panic(fmt.Sprintf("core: AddBatch postvalidation failure: %v", err))
+		if !adopt {
+			ms = slices.Clone(ms)
+			slices.Sort(ms)
+		}
+		c := &slab[i]
+		*c = Cluster{ID: int32(len(r.clusters)), Members: ms, T: ts[i]}
+		r.clusters = append(r.clusters, c)
+		for _, v := range ms {
+			r.assign[v] = c.ID
 		}
 		out[i] = c
 	}
@@ -160,8 +202,8 @@ func (r *Registry) addLocked(members []int32, t int32) (*Cluster, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: empty cluster")
 	}
-	ms := append([]int32(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	ms := slices.Clone(members)
+	slices.Sort(ms)
 	for i, v := range ms {
 		if int(v) < 0 || int(v) >= len(r.assign) {
 			return nil, fmt.Errorf("core: user %d out of range", v)

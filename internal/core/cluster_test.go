@@ -109,6 +109,56 @@ func TestRegistryAddBatchAtomic(t *testing.T) {
 	}
 }
 
+// TestRegistryAdoptBatch pins the by-reference entry point: adopted
+// member slices are referenced, not copied; unsorted, duplicated,
+// taken, empty and out-of-range sets fail with no partial state; and
+// AddBatch still copies (and sorts) what it is given.
+func TestRegistryAdoptBatch(t *testing.T) {
+	r := NewRegistry(8)
+	if _, err := r.AddBatch([][]int32{{0, 1}}, []int32{1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sets [][]int32
+		want string
+	}{
+		{"unsorted", [][]int32{{2, 3}, {5, 4}}, "not strictly ascending"},
+		{"repeated member", [][]int32{{2, 2}}, "not strictly ascending"},
+		{"across sets", [][]int32{{2, 3}, {3, 4}}, "appears in two batch clusters"},
+		{"already assigned", [][]int32{{2, 3}, {1, 4}}, "already in cluster 0"},
+		{"out of range", [][]int32{{2, 3}, {4, 9}}, "out of range"},
+		{"empty", [][]int32{{2, 3}, {}}, "empty cluster"},
+	} {
+		_, err := r.AdoptBatch(tc.sets, make([]int32, len(tc.sets)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if r.NumClusters() != 1 || r.NumAssigned() != 2 {
+			t.Fatalf("%s: failed batch left state: clusters=%d assigned=%d", tc.name, r.NumClusters(), r.NumAssigned())
+		}
+	}
+	adopted := []int32{2, 3, 5}
+	cs, err := r.AdoptBatch([][]int32{adopted, {4, 6}}, []int32{3, 1})
+	if err != nil {
+		t.Fatalf("valid adopt: %v", err)
+	}
+	if &cs[0].Members[0] != &adopted[0] || cs[0].ID != 1 || cs[1].ID != 2 || cs[0].T != 3 {
+		t.Errorf("adopted clusters = %+v %+v, want the caller's slice under ids 1, 2", cs[0], cs[1])
+	}
+	given := []int32{7}
+	cs, err = r.AddBatch([][]int32{given}, []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &cs[0].Members[0] == &given[0] {
+		t.Error("AddBatch referenced the caller's slice instead of copying it")
+	}
+	if err := r.CheckReciprocity(); err != nil {
+		t.Errorf("CheckReciprocity: %v", err)
+	}
+}
+
 func TestRegistryConcurrentAdds(t *testing.T) {
 	const n = 400
 	r := NewRegistry(n)

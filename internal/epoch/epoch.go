@@ -9,15 +9,17 @@
 // rebuilds never stall the hot path.
 //
 // Rebuilds are incremental by default: the manager tracks which users'
-// rankings changed since the previous build, carries the previous WPG
-// and per-component clustering forward, and on the next build
-// recomputes only the edges incident to changed users and re-clusters
-// only the connected components ("shards") those changes touched. The
-// remaining shards splice their clusters from the previous build —
-// safe because Theorem 4.4 cluster isolation makes each component an
-// independent clustering unit, and double-checked structurally
-// (identical membership and induced subgraph) before every splice. The
-// published output is bit-identical to a from-scratch rebuild.
+// rankings changed since the previous build, carries the previous WPG,
+// its components and their clustering forward, and on the next build
+// replaces only the adjacency rows those changes touch (every other row
+// is shared copy-on-write with the previous generation) and
+// re-clusters only the connected components ("shards") holding a
+// changed row or a cluster-dirty user. The remaining shards splice
+// their clusters from the previous build — safe because Theorem 4.4
+// cluster isolation makes each component an independent clustering
+// unit, and proven before every splice by every member still sharing
+// its whole row with the previous graph. The published output is
+// bit-identical to a from-scratch rebuild.
 //
 // Determinism contract: the epoch transcript (which epochs were
 // triggered, why, and what each one built) is a pure function of the
@@ -33,10 +35,11 @@
 package epoch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,6 +242,9 @@ type Generation struct {
 	Trace *trace.Span
 
 	billed atomic.Bool
+	// done is closed once the build finished and, when it succeeded,
+	// published — or once Close dropped the queued build.
+	done chan struct{}
 }
 
 // transcriptLine renders the generation's deterministic transcript
@@ -375,13 +381,17 @@ type shardResult struct {
 
 // builderState is what a successful build leaves behind for the next
 // incremental one: its graph, its components (sorted members, ordered
-// by smallest member), the per-component clustering, and an index from
-// a component's smallest member to its position.
+// by smallest member), the per-component clustering, and a dense index
+// from each vertex to the smallest member of its component. That key
+// stays valid for every component a later build carries over, so the
+// index is patched only where components were recomputed. None of this
+// lives on the Generation: history keeps generations, and only the
+// builder needs the carried indices.
 type builderState struct {
 	graph  *wpg.Graph
 	comps  [][]int32
 	shards []shardResult
-	byMin  map[int32]int
+	compOf []int32
 }
 
 // Option configures a Manager.
@@ -696,6 +706,7 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 		Seq:       m.seq,
 		UploadsIn: m.uploadsSince,
 		Changed:   len(m.changed),
+		done:      make(chan struct{}),
 	}
 	// Shallow copy: upload slices are copied on write and never mutated
 	// afterwards, so the snapshot shares them safely.
@@ -736,18 +747,54 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 // with no uploads" case). Cancellation is honored while waiting for the
 // manager lock.
 func (m *Manager) Rotate(ctx context.Context) (uint64, error) {
-	if err := m.lockCtx(ctx); err != nil {
+	gen, err := m.rotate(ctx)
+	if err != nil {
 		return 0, err
+	}
+	return gen.Epoch, nil
+}
+
+// RotateAndWait is the synchronous freeze: Rotate, then wait for that
+// rotation's own build, and return its generation — published, or
+// carrying BuildErr. The generation comes from the rotation itself, so
+// builds queued behind it cannot trim it out of History first. Builds
+// run in trigger order, so every earlier epoch has finished as well;
+// later triggers are not waited for. The two phases report as
+// "epoch.rotate" and "epoch.sync" children of the span on ctx. If Close
+// drops the queued build, RotateAndWait returns ErrClosed.
+func (m *Manager) RotateAndWait(ctx context.Context) (*Generation, error) {
+	rsp := trace.FromContext(ctx).Child("epoch.rotate")
+	gen, err := m.rotate(ctx)
+	rsp.End()
+	if err != nil {
+		return nil, err
+	}
+	ssp := trace.FromContext(ctx).Child("epoch.sync")
+	defer ssp.End()
+	select {
+	case <-gen.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if gen.BuildErr == ErrClosed {
+		return nil, ErrClosed
+	}
+	return gen, nil
+}
+
+func (m *Manager) rotate(ctx context.Context) (*Generation, error) {
+	if err := m.lockCtx(ctx); err != nil {
+		return nil, err
 	}
 	defer m.unlock()
 	if m.closed {
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
 	m.reconcileLocked(ctx)
 	if m.nextEpoch > 0 && m.uploadsSince == 0 {
-		return 0, ErrNoNewUploads
+		return nil, ErrNoNewUploads
 	}
-	return m.triggerLocked(TriggerRotate).Epoch, nil
+	return m.triggerLocked(TriggerRotate), nil
 }
 
 // builderLoop drains the build queue serially (publication order ==
@@ -790,11 +837,16 @@ func (m *Manager) build(job buildJob) {
 	}
 
 	prev := m.prev
+	// The carried state is consumed in place (its component index is
+	// patched into the next one), so drop it now: a build that fails
+	// from here on leaves the next one to start from scratch.
+	m.prev = nil
 	wsp := root.Child(metrics.StageWPG)
 	var g *wpg.Graph
+	var replaced []int32
 	var err error
-	if m.incremental && prev != nil {
-		g, err = BuildGraphIncremental(m.numUsers, job.uploads, prev.graph, job.changed)
+	if prev != nil {
+		g, replaced, err = rewireChanged(job.uploads, prev.graph, job.changed)
 	} else {
 		g, err = BuildGraph(m.numUsers, job.uploads)
 	}
@@ -815,7 +867,7 @@ func (m *Manager) build(job buildJob) {
 		}
 		csp := root.Child(metrics.StageCluster)
 		cctx := trace.NewContext(context.Background(), csp)
-		res := m.clusterShards(cctx, g, prev, job.dirty, ks)
+		res := m.clusterShards(cctx, g, prev, replaced, job.dirty, ks)
 		anon := anonymizer.NewServer(g,
 			anonymizer.WithK(m.k),
 			anonymizer.WithWorkers(m.workers),
@@ -871,6 +923,7 @@ func (m *Manager) build(job buildJob) {
 	m.em.ObserveStage(metrics.StagePublish, psp.Duration())
 	root.End()
 	m.tr.Record(root)
+	close(gen.done)
 }
 
 // profileMeta fills the generation's profile accounting: per-cluster
@@ -879,7 +932,7 @@ func (m *Manager) build(job buildJob) {
 // cluster area exceeds their own MaxArea). It does nothing when no
 // non-default profile is stored, so default-profile generations carry
 // no metadata and no extra cost. Cluster IDs index the adopted slice
-// (AddBatch registers in order), so Meta aligns with Cloak's clusters.
+// (AdoptBatch registers in order), so Meta aligns with Cloak's clusters.
 func (m *Manager) profileMeta(gen *Generation, profiles map[int32]core.Profile, clusters []*core.Cluster) {
 	gen.Profiled = len(profiles)
 	if gen.Profiled == 0 {
@@ -929,24 +982,32 @@ type shardBuild struct {
 // induced subgraph) and fanning the rest out across the worker pool
 // with a per-shard span each. The merged result is ordered and
 // numbered exactly as core.CentralizedTConnParallel emits it, so the
-// output is bit-identical to a from-scratch clustering.
-func (m *Manager) clusterShards(ctx context.Context, g *wpg.Graph, prev *builderState, dirty map[int32]struct{}, ks []int32) *shardBuild {
+// output is bit-identical to a from-scratch clustering. replaced lists
+// the vertices whose rows g does not share with prev's graph.
+func (m *Manager) clusterShards(ctx context.Context, g *wpg.Graph, prev *builderState, replaced []int32, dirty map[int32]struct{}, ks []int32) *shardBuild {
 	sp := trace.FromContext(ctx).Child("core.cluster")
 	defer sp.End()
-	comps := g.Components()
-	shards := make([]shardResult, len(comps))
-	rebuild := make([]int, 0, len(comps))
-	for i, members := range comps {
-		// Splicing stays safe under profiles: a profile change marks the
-		// user dirty exactly like a list change, so a component disjoint
-		// from the dirty set kept every member's floor as well as every
-		// edge — its previous clustering is still the right one.
-		if m.incremental && prev != nil && reusableShard(prev, g, members, dirty) {
-			shards[i] = prev.shards[prev.byMin[members[0]]]
-			continue
+	var st *builderState
+	var rebuild []int
+	if prev != nil {
+		st, rebuild = carryComponents(prev, g, replaced, dirty)
+	} else {
+		comps := g.Components()
+		st = &builderState{graph: g, comps: comps, shards: make([]shardResult, len(comps))}
+		rebuild = make([]int, len(comps))
+		for i := range rebuild {
+			rebuild[i] = i
 		}
-		rebuild = append(rebuild, i)
+		if m.incremental {
+			st.compOf = make([]int32, g.NumVertices())
+			for _, members := range comps {
+				for _, v := range members {
+					st.compOf[v] = members[0]
+				}
+			}
+		}
 	}
+	comps, shards := st.comps, st.shards
 
 	if len(rebuild) > 0 {
 		workers := core.ClampWorkers(m.workers, len(rebuild))
@@ -981,46 +1042,110 @@ func (m *Manager) clusterShards(ctx context.Context, g *wpg.Graph, prev *builder
 	// interleave, so restore the serial scan's global emission order —
 	// ascending smallest cluster member — across shards. Cluster member
 	// sets are disjoint, so Members[0] is a strict total order.
-	sort.Slice(out.clusters, func(i, j int) bool {
-		return out.clusters[i].Members[0] < out.clusters[j].Members[0]
+	slices.SortFunc(out.clusters, func(a, b *core.Cluster) int {
+		return cmp.Compare(a.Members[0], b.Members[0])
 	})
-	byMin := make(map[int32]int, len(comps))
-	for i, members := range comps {
-		byMin[members[0]] = i
+	if m.incremental {
+		out.state = st
 	}
-	out.state = &builderState{graph: g, comps: comps, shards: shards, byMin: byMin}
 	return out
 }
 
-// reusableShard decides whether the component given by members (sorted
-// ascending) can splice its clusters from the previous build. The
-// dirty-set rule already implies an untouched component — every
-// changed upload marks the user and all its old and new peers dirty,
-// so a component disjoint from the dirty set kept its membership and
-// every incident edge — and the structural checks (same membership,
-// same induced subgraph) turn that argument into a machine-checked
-// proof on every splice. Identical induced subgraphs make
-// core.ClusterComponent's output identical (Theorem 4.4 cluster
-// isolation: clustering never crosses a component boundary), which is
-// what keeps incremental builds bit-identical to full ones.
-func reusableShard(prev *builderState, g *wpg.Graph, members []int32, dirty map[int32]struct{}) bool {
-	idx, ok := prev.byMin[members[0]]
-	if !ok {
-		return false
+// carryComponents derives the next build's components from prev's
+// without walking the whole graph. A previous component is broken when
+// it holds a seed: a cluster-dirty vertex, or a vertex whose row g
+// replaced. Every other component kept every member's row — any edge
+// gained or lost would have replaced a member's row — so it is still a
+// component of g, carried over with its clustering and no allocation.
+// The broken components' vertices are re-partitioned by BFS over g;
+// each new component there holds a seed, so none of them can splice.
+// That is exactly the rule the structural check states (same
+// membership, no dirty member, identical induced subgraph), and each
+// carried component re-proves it by row identity, O(1) per vertex. The
+// seeds make that proof a certainty, so a failure is an internal
+// invariant violation and panics rather than silently rebuilding.
+//
+// prev is consumed: its component index is patched into the result's.
+// rebuild lists the positions of the recomputed components.
+func carryComponents(prev *builderState, g *wpg.Graph, replaced []int32, dirty map[int32]struct{}) (*builderState, []int) {
+	n := g.NumVertices()
+	compOf := prev.compOf
+	// broken is indexed by component key (smallest member).
+	broken := make([]bool, n)
+	for v := range dirty {
+		broken[compOf[v]] = true
 	}
-	old := prev.comps[idx]
-	if len(old) != len(members) {
-		return false
+	for _, v := range replaced {
+		broken[compOf[v]] = true
 	}
-	for i, v := range members {
-		if old[i] != v {
-			return false
+
+	visited := make([]bool, n)
+	var fresh [][]int32
+	for _, members := range prev.comps {
+		if !broken[members[0]] {
+			continue
 		}
-		if _, d := dirty[v]; d {
-			return false
+		for _, s := range members {
+			if visited[s] {
+				continue
+			}
+			visited[s] = true
+			comp := []int32{s}
+			for head := 0; head < len(comp); head++ {
+				for _, e := range g.Neighbors(comp[head]) {
+					if !visited[e.To] {
+						visited[e.To] = true
+						comp = append(comp, e.To)
+					}
+				}
+			}
+			slices.Sort(comp)
+			fresh = append(fresh, comp)
 		}
 	}
-	return wpg.EqualInduced(prev.graph, g, members)
+	slices.SortFunc(fresh, func(a, b []int32) int { return cmp.Compare(a[0], b[0]) })
+
+	// Merge the carried components with the fresh ones, both ordered by
+	// smallest member.
+	total := len(prev.comps) + len(fresh)
+	for _, members := range prev.comps {
+		if broken[members[0]] {
+			total--
+		}
+	}
+	st := &builderState{graph: g, comps: make([][]int32, 0, total), shards: make([]shardResult, 0, total), compOf: compOf}
+	carry := func(i int) {
+		members := prev.comps[i]
+		if broken[members[0]] {
+			return
+		}
+		for _, v := range members {
+			if !wpg.SharedRow(prev.graph, g, v) {
+				panic(fmt.Sprintf("epoch: carried component %d: row of %d not shared with the previous graph", members[0], v))
+			}
+		}
+		st.comps = append(st.comps, members)
+		st.shards = append(st.shards, prev.shards[i])
+	}
+	rebuild := make([]int, 0, len(fresh))
+	i := 0
+	for _, members := range fresh {
+		for ; i < len(prev.comps) && prev.comps[i][0] < members[0]; i++ {
+			carry(i)
+		}
+		rebuild = append(rebuild, len(st.comps))
+		st.comps = append(st.comps, members)
+		st.shards = append(st.shards, shardResult{})
+	}
+	for ; i < len(prev.comps); i++ {
+		carry(i)
+	}
+	for _, members := range fresh {
+		for _, v := range members {
+			compOf[v] = members[0]
+		}
+	}
+	return st, rebuild
 }
 
 // Cloak serves a request from the current generation, lock-free with
@@ -1107,6 +1232,10 @@ func (m *Manager) Close() {
 	m.reconcileLocked(context.Background())
 	if m.stalenessStop != nil {
 		close(m.stalenessStop)
+	}
+	for _, job := range m.queue {
+		job.gen.BuildErr = ErrClosed
+		close(job.gen.done)
 	}
 	m.queue = nil
 	if m.building {
@@ -1266,69 +1395,70 @@ func BuildGraph(n int, uploads map[int32][]RankedPeer) (*wpg.Graph, error) {
 
 // BuildGraphIncremental is BuildGraph for the case where only the
 // uploads of the users in changed differ from the upload set that
-// produced prev: every prev edge between two unchanged users is
-// carried over verbatim (neither endpoint's list moved, so neither the
-// edge nor its weight can have), and only pairs incident to a changed
-// user are recomputed. Mutuality makes the enumeration complete — an
-// edge exists only if both endpoints list each other, so walking the
-// changed users' current lists visits every pair that could have
-// gained, kept, or re-weighted an edge, and a pair a changed user
-// dropped stays dropped because its prev edge was discarded. The
-// result is identical to BuildGraph(n, uploads); a nil prev or a
-// population mismatch falls back to the full build.
+// produced prev. It recomputes the complete row of every changed user
+// and rewires prev copy-on-write (wpg.Graph.Rewire): only changed users
+// and the vertices whose edge to one of them appeared, disappeared or
+// changed weight get new rows, and every other row is shared with prev.
+// Mutuality makes the enumeration complete — an edge exists only if
+// both endpoints list each other, so a changed user's current list
+// names every pair that could have gained, kept, or re-weighted an
+// edge, and a pair it dropped loses its edge because the user's row is
+// replaced whole. The result is identical to BuildGraph(n, uploads); a
+// nil prev or a population mismatch falls back to the full build.
 func BuildGraphIncremental(n int, uploads map[int32][]RankedPeer, prev *wpg.Graph, changed map[int32]struct{}) (*wpg.Graph, error) {
 	if prev == nil || prev.NumVertices() != n {
 		return BuildGraph(n, uploads)
 	}
-	edges := make([]graph.Edge, 0, prev.NumEdges())
-	for _, e := range prev.Edges() {
-		if _, d := changed[e.U]; d {
-			continue
-		}
-		if _, d := changed[e.V]; d {
-			continue
-		}
-		edges = append(edges, e)
-	}
-	type key struct{ a, b int32 }
-	recomputed := make(map[key]int32)
+	g, _, err := rewireChanged(uploads, prev, changed)
+	return g, err
+}
+
+// rewireChanged is BuildGraphIncremental's copy-on-write step. It also
+// returns the vertices whose rows changed, which the incremental
+// clustering needs to know which components to re-partition. A changed
+// user out of prev's range with no mutual pair is skipped, as
+// BuildGraph ignores it; one with a mutual pair fails the rewire.
+func rewireChanged(uploads map[int32][]RankedPeer, prev *wpg.Graph, changed map[int32]struct{}) (*wpg.Graph, []int32, error) {
+	users := make([]int32, 0, len(changed))
 	for u := range changed {
-		for _, pr := range uploads[u] {
-			if pr.Peer == u {
+		users = append(users, u)
+	}
+	slices.Sort(users)
+	vs := users[:0]
+	var rows [][]wpg.Edge
+	var buf []wpg.Edge
+	for _, u := range users {
+		start := len(buf)
+		list := uploads[u]
+		for _, pr := range list {
+			if pr.Peer == u || slices.ContainsFunc(buf[start:], func(e wpg.Edge) bool { return e.To == pr.Peer }) {
 				continue
 			}
-			k := key{u, pr.Peer}
-			if k.a > k.b {
-				k.a, k.b = k.b, k.a
+			if w := mutualWeight(u, pr.Peer, list, uploads[pr.Peer]); w > 0 {
+				buf = append(buf, wpg.Edge{To: pr.Peer, W: w})
 			}
-			if _, done := recomputed[k]; done {
-				continue
-			}
-			recomputed[k] = mutualWeight(uploads, u, pr.Peer) // 0 = not mutual
 		}
-	}
-	for k, w := range recomputed {
-		if w > 0 {
-			edges = append(edges, graph.Edge{U: k.a, V: k.b, W: w})
+		if (u < 0 || int(u) >= prev.NumVertices()) && len(buf) == start {
+			continue
 		}
+		vs = append(vs, u)
+		rows = append(rows, buf[start:len(buf):len(buf)])
 	}
-	return wpg.FromEdges(n, edges)
+	return prev.Rewire(vs, rows)
 }
 
 // mutualWeight computes BuildGraph's weight for the unordered pair
-// (a,b) from the current uploads — the minimum over both directions
-// and every duplicate entry of min(entry rank, first reverse rank) —
-// or 0 when the pair is not mutual. Must mirror BuildGraph's
-// accumulation exactly; the incremental differential tests pin this.
-func mutualWeight(uploads map[int32][]RankedPeer, a, b int32) int32 {
+// (a,b) from the two users' current lists — the minimum over both
+// directions and every duplicate entry of min(entry rank, first reverse
+// rank) — or 0 when the pair is not mutual. A user without an upload
+// passes a nil list, which BuildGraph treats the same way. Must mirror
+// BuildGraph's accumulation exactly; the incremental differential tests
+// pin this.
+func mutualWeight(a, b int32, al, bl []RankedPeer) int32 {
 	var best int32
-	direction := func(user, peer int32) {
-		other, ok := uploads[peer]
-		if !ok {
-			return
-		}
+	direction := func(user, peer int32, ul, pl []RankedPeer) {
 		var reverse int32
-		for _, rp := range other {
+		for _, rp := range pl {
 			if rp.Peer == user {
 				reverse = rp.Rank
 				break
@@ -1337,7 +1467,7 @@ func mutualWeight(uploads map[int32][]RankedPeer, a, b int32) int32 {
 		if reverse == 0 {
 			return
 		}
-		for _, pr := range uploads[user] {
+		for _, pr := range ul {
 			if pr.Peer != peer {
 				continue
 			}
@@ -1350,7 +1480,7 @@ func mutualWeight(uploads map[int32][]RankedPeer, a, b int32) int32 {
 			}
 		}
 	}
-	direction(a, b)
-	direction(b, a)
+	direction(a, b, al, bl)
+	direction(b, a, bl, al)
 	return best
 }

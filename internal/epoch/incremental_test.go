@@ -4,9 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"nonexposure/internal/core"
+	"nonexposure/internal/wpg"
 )
 
 // multiRing builds r rings of size sz each: user ringBase+i is ranked
@@ -103,6 +107,29 @@ func (s *churnScenario) tick() []int32 {
 		users = append(users, u)
 	}
 	return users
+}
+
+// splitOne removes the smallest active cross-ring pair, splitting the
+// component it joined, and returns its two users (none when no pair is
+// active). The random toggles in tick rarely pick an active pair again.
+func (s *churnScenario) splitOne() []int32 {
+	var pairs [][2]int32
+	for k := range s.crossActive {
+		pairs = append(pairs, k)
+	}
+	if len(pairs) == 0 {
+		return nil
+	}
+	k := slices.MinFunc(pairs, func(a, b [2]int32) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
+		}
+		return int(a[1] - b[1])
+	})
+	s.lists[k[0]] = removePeer(s.lists[k[0]], k[1])
+	s.lists[k[1]] = removePeer(s.lists[k[1]], k[0])
+	delete(s.crossActive, k)
+	return k[:]
 }
 
 func removePeer(peers []RankedPeer, peer int32) []RankedPeer {
@@ -222,13 +249,21 @@ func diffGenerations(a, b *Generation) string {
 			return fmt.Sprintf("cluster meta %d differs: %+v vs %+v", i, a.Meta[i], b.Meta[i])
 		}
 	}
-	ae, be := a.Graph.Edges(), b.Graph.Edges()
-	if len(ae) != len(be) {
-		return fmt.Sprintf("edge counts differ: %d vs %d", len(ae), len(be))
+	// Row by row, order and length included: copy-on-write builds
+	// assemble rows piecemeal, so an edge set can match while a row's
+	// order or its carried edge count does not.
+	for _, g := range []*wpg.Graph{a.Graph, b.Graph} {
+		if err := g.Validate(); err != nil {
+			return fmt.Sprintf("graph invalid: %v", err)
+		}
 	}
-	for i := range ae {
-		if ae[i] != be[i] {
-			return fmt.Sprintf("edge %d differs: %+v vs %+v", i, ae[i], be[i])
+	if a.Graph.NumVertices() != b.Graph.NumVertices() || a.Graph.NumEdges() != b.Graph.NumEdges() {
+		return fmt.Sprintf("graph sizes differ: %d/%d vertices, %d/%d edges",
+			a.Graph.NumVertices(), b.Graph.NumVertices(), a.Graph.NumEdges(), b.Graph.NumEdges())
+	}
+	for v := int32(0); v < int32(a.Graph.NumVertices()); v++ {
+		if ar, br := a.Graph.Neighbors(v), b.Graph.Neighbors(v); !slices.Equal(ar, br) {
+			return fmt.Sprintf("row %d differs: %v vs %v", v, ar, br)
 		}
 	}
 	ac, bc := a.Anon.Registry().Clusters(), b.Anon.Registry().Clusters()
@@ -249,6 +284,91 @@ func diffGenerations(a, b *Generation) string {
 		}
 	}
 	return ""
+}
+
+// TestIncrementalRowsMatchFull is the graph-level row differential: a
+// chain of copy-on-write BuildGraphIncremental steps over messy upload
+// lists — duplicate peers, self ranks, one-sided and asymmetric ranks —
+// must reproduce BuildGraph row by row (order and length included) and
+// carry the right edge count, while every row no changed user can reach
+// stays shared with the previous graph.
+func TestIncrementalRowsMatchFull(t *testing.T) {
+	const n = 60
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randomList := func(u int32) []RankedPeer {
+			var out []RankedPeer
+			for i := rng.Intn(7); i > 0; i-- {
+				peer := int32(rng.Intn(n))
+				if rng.Intn(10) == 0 {
+					peer = u
+				}
+				out = append(out, RankedPeer{Peer: peer, Rank: int32(1 + rng.Intn(5))})
+				if rng.Intn(8) == 0 {
+					out = append(out, RankedPeer{Peer: peer, Rank: int32(1 + rng.Intn(5))})
+				}
+			}
+			return out
+		}
+		uploads := make(map[int32][]RankedPeer, n)
+		for u := int32(0); u < n; u++ {
+			if rng.Intn(10) > 0 {
+				uploads[u] = randomList(u)
+			}
+		}
+		// Make mutual pairs common: mirror a share of the entries.
+		for u := int32(0); u < n; u++ {
+			for _, pr := range uploads[u] {
+				if other, ok := uploads[pr.Peer]; ok && pr.Peer != u && rng.Intn(2) == 0 {
+					uploads[pr.Peer] = append(slices.Clone(other), RankedPeer{Peer: u, Rank: int32(1 + rng.Intn(5))})
+				}
+			}
+		}
+		prev, err := BuildGraph(n, uploads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 30; step++ {
+			changed := make(map[int32]struct{})
+			for i := 1 + rng.Intn(8); i > 0; i-- {
+				u := int32(rng.Intn(n))
+				changed[u] = struct{}{}
+				uploads[u] = randomList(u)
+				for _, pr := range uploads[u] {
+					if other, ok := uploads[pr.Peer]; ok && pr.Peer != u && rng.Intn(2) == 0 {
+						uploads[pr.Peer] = append(slices.Clone(other), RankedPeer{Peer: u, Rank: int32(1 + rng.Intn(5))})
+						changed[pr.Peer] = struct{}{}
+					}
+				}
+			}
+			got, err := BuildGraphIncremental(n, uploads, prev, changed)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			want, err := BuildGraph(n, uploads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("seed %d step %d: incremental graph invalid: %v", seed, step, err)
+			}
+			if got.NumEdges() != want.NumEdges() {
+				t.Fatalf("seed %d step %d: %d edges, want %d", seed, step, got.NumEdges(), want.NumEdges())
+			}
+			for v := int32(0); v < n; v++ {
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("seed %d step %d: row %d = %v, want %v", seed, step, v, got.Neighbors(v), want.Neighbors(v))
+				}
+				if !slices.Equal(prev.Neighbors(v), got.Neighbors(v)) {
+					continue
+				}
+				if !wpg.SharedRow(prev, got, v) {
+					t.Fatalf("seed %d step %d: unchanged row %d was copied", seed, step, v)
+				}
+			}
+			prev = got
+		}
+	}
 }
 
 // TestIncrementalShardAccounting pins the shards=rebuilt/total numbers
@@ -409,13 +529,15 @@ func TestConcurrentChurnIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var producers, cloakers sync.WaitGroup
+	var uploaders, producers, cloakers sync.WaitGroup
 	stop := make(chan struct{})
 	// Uploaders churn ranks inside random rings.
 	for w := 0; w < 3; w++ {
+		uploaders.Add(1)
 		producers.Add(1)
 		go func(w int) {
 			defer producers.Done()
+			defer uploaders.Done()
 			rng := rand.New(rand.NewSource(int64(300 + w)))
 			for i := 0; i < 200; i++ {
 				u := int32(rng.Intn(n))
@@ -428,11 +550,16 @@ func TestConcurrentChurnIncremental(t *testing.T) {
 			}
 		}(w)
 	}
-	// Rotator forces incremental rebuilds throughout the churn.
+	// Rotator forces incremental rebuilds throughout the churn. Its
+	// final rotate waits for the uploaders, so at least one rotate sees
+	// new uploads even when the scheduler runs the first 40 before any.
 	producers.Add(1)
 	go func() {
 		defer producers.Done()
-		for i := 0; i < 40; i++ {
+		for i := 0; i <= 40; i++ {
+			if i == 40 {
+				uploaders.Wait()
+			}
 			if _, err := m.Rotate(bg); err != nil &&
 				!errors.Is(err, ErrNoNewUploads) && !errors.Is(err, ErrClosed) {
 				t.Errorf("rotate: %v", err)
@@ -478,5 +605,178 @@ func TestConcurrentChurnIncremental(t *testing.T) {
 	cloakers.Wait()
 	if st := m.Status(); st.Builds < 2 {
 		t.Errorf("only %d builds during the churn", st.Builds)
+	}
+}
+
+// genSnapshot is a deep copy of what a published generation serves:
+// every adjacency row and every registered cluster.
+type genSnapshot struct {
+	gen      *Generation
+	rows     [][]wpg.Edge
+	clusters []core.Cluster
+	assign   []int32
+}
+
+func snapshotGeneration(gen *Generation) genSnapshot {
+	n := gen.Graph.NumVertices()
+	s := genSnapshot{gen: gen, rows: make([][]wpg.Edge, n), assign: make([]int32, n)}
+	for v := int32(0); v < int32(n); v++ {
+		s.rows[v] = slices.Clone(gen.Graph.Neighbors(v))
+		s.assign[v] = -1
+		if c, ok := gen.Anon.Registry().ClusterOf(v); ok {
+			s.assign[v] = c.ID
+		}
+	}
+	for _, c := range gen.Anon.Registry().Clusters() {
+		s.clusters = append(s.clusters, core.Cluster{ID: c.ID, Members: slices.Clone(c.Members), T: c.T})
+	}
+	return s
+}
+
+func (s genSnapshot) diff() string {
+	g, reg := s.gen.Graph, s.gen.Anon.Registry()
+	for v, row := range s.rows {
+		if got := g.Neighbors(int32(v)); !slices.Equal(got, row) {
+			return fmt.Sprintf("row %d changed: %v -> %v", v, row, got)
+		}
+	}
+	cs := reg.Clusters()
+	if len(cs) != len(s.clusters) {
+		return fmt.Sprintf("%d clusters -> %d", len(s.clusters), len(cs))
+	}
+	for i, c := range cs {
+		if c.ID != s.clusters[i].ID || c.T != s.clusters[i].T || !slices.Equal(c.Members, s.clusters[i].Members) {
+			return fmt.Sprintf("cluster %d changed: %+v -> %+v", i, s.clusters[i], *c)
+		}
+	}
+	for v, id := range s.assign {
+		got := int32(-1)
+		if c, ok := reg.ClusterOf(int32(v)); ok {
+			got = c.ID
+		}
+		if got != id {
+			return fmt.Sprintf("user %d moved from cluster %d to %d", v, id, got)
+		}
+	}
+	return ""
+}
+
+// TestPublishedGenerationsStayImmutable pins the copy-on-write
+// contract: generations share rows and member lists, so no build may
+// write into anything an earlier generation published. Every published
+// generation is snapshotted, then churn keeps building incrementally —
+// weight churn, component merges and splits, profile changes — while
+// readers cloak and walk the published rows concurrently (under -race
+// a write into a shared row is also a reported race). At the end every
+// snapshot must still match its generation, and consecutive
+// generations must actually have shared rows.
+func TestPublishedGenerationsStayImmutable(t *testing.T) {
+	const (
+		rings = 8
+		sz    = 12
+		n     = rings * sz
+		ticks = 24
+	)
+	m, err := New(n, WithK(3), WithWorkers(2), WithHistoryLimit(ticks+2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sc := newChurnScenario(11, rings, sz)
+	publish := func(users []int32, prof map[int32]*core.Profile) genSnapshot {
+		t.Helper()
+		for _, u := range users {
+			if err := m.Upload(bg, UploadRequest{User: u, Peers: sc.lists[u], Profile: prof[u]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Rotate(bg); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Sync(bg); err != nil {
+			t.Fatal(err)
+		}
+		gen := m.Current()
+		if gen.BuildErr != nil {
+			t.Fatal(gen.BuildErr)
+		}
+		return snapshotGeneration(gen)
+	}
+
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	snaps := []genSnapshot{publish(all, nil)}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(500 + w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				host := int32(rng.Intn(n))
+				if res, err := m.Cloak(bg, host); err == nil && !res.Cluster.Contains(host) {
+					t.Errorf("cloak(%d) = %v", host, res.Cluster.Members)
+					return
+				}
+				var sum int32
+				for _, e := range m.Current().Graph.Neighbors(host) {
+					sum += e.W
+				}
+				_ = sum
+			}
+		}(w)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	var merged, split, profiled bool
+	for tick := 0; tick < ticks; tick++ {
+		users := sc.tick()
+		if tick%4 == 3 {
+			users = append(users, sc.splitOne()...)
+		}
+		prof := map[int32]*core.Profile{}
+		if tick%3 == 1 {
+			u := int32(rng.Intn(n))
+			k := int32(4 + tick%2)
+			if tick%6 == 4 {
+				k = 0 // back to the service default
+			}
+			prof[u] = &core.Profile{K: k}
+			users = append(users, u)
+		}
+		snap := publish(users, prof)
+		prev := snaps[len(snaps)-1].gen
+		merged = merged || snap.gen.ShardsTotal < prev.ShardsTotal
+		split = split || snap.gen.ShardsTotal > prev.ShardsTotal
+		profiled = profiled || snap.gen.Profiled > 0
+		shared := 0
+		for v := int32(0); v < n; v++ {
+			if len(prev.Graph.Neighbors(v)) > 0 && wpg.SharedRow(prev.Graph, snap.gen.Graph, v) {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Errorf("epoch %d shares no row with epoch %d", snap.gen.Epoch, prev.Epoch)
+		}
+		snaps = append(snaps, snap)
+	}
+	close(stop)
+	readers.Wait()
+	if !merged || !split || !profiled {
+		t.Fatalf("churn too tame: merged=%v split=%v profiled=%v", merged, split, profiled)
+	}
+	for _, s := range snaps {
+		if msg := s.diff(); msg != "" {
+			t.Fatalf("epoch %d was written after it published: %s", s.gen.Epoch, msg)
+		}
 	}
 }

@@ -440,27 +440,14 @@ func (s *Server) dispatchV1(ctx context.Context, req Request) Envelope {
 // rotateAndWait is the synchronous freeze: trigger a rotation and block
 // until that generation (and anything queued before it) has published.
 func (s *Server) rotateAndWait(ctx context.Context) (*epoch.Generation, error) {
-	rsp := trace.FromContext(ctx).Child("epoch.rotate")
-	ep, err := s.mgr.Rotate(ctx)
-	rsp.End()
+	gen, err := s.mgr.RotateAndWait(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ssp := trace.FromContext(ctx).Child("epoch.sync")
-	err = s.mgr.Sync(ctx)
-	ssp.End()
-	if err != nil {
-		return nil, err
+	if gen.BuildErr != nil {
+		return nil, fmt.Errorf("build graph: %w", gen.BuildErr)
 	}
-	for _, gen := range s.mgr.History() {
-		if gen.Epoch == ep {
-			if gen.BuildErr != nil {
-				return nil, fmt.Errorf("build graph: %w", gen.BuildErr)
-			}
-			return gen, nil
-		}
-	}
-	return nil, fmt.Errorf("service: epoch %d missing from history", ep)
+	return gen, nil
 }
 
 // freezeErr maps pipeline errors onto the v0 freeze wording ("already

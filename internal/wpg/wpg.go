@@ -11,9 +11,11 @@
 package wpg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"nonexposure/internal/geo"
 	"nonexposure/internal/graph"
@@ -30,10 +32,18 @@ type Edge struct {
 }
 
 // Graph is an undirected weighted proximity graph over vertices 0..n-1.
-// Adjacency lists are sorted by (W, To), which the clustering algorithms
-// rely on for deterministic tie-breaking.
+// Adjacency lists ("rows") are sorted by (W, To), which the clustering
+// algorithms rely on for deterministic tie-breaking.
+//
+// A Graph and every one of its rows are immutable once a constructor
+// returns: nothing writes into a row afterwards, and every row has
+// cap == len, so even an append by a careless caller copies instead of
+// writing into the backing array. That is what lets Rewire share every
+// row it does not replace with its predecessor: successive epoch
+// generations hold one copy of each unchanged row between them.
 type Graph struct {
-	adj [][]Edge
+	adj   [][]Edge
+	edges int
 }
 
 // BuildParams configures WPG construction.
@@ -114,11 +124,15 @@ func Build(points []geo.Point, p BuildParams) *Graph {
 }
 
 // FromEdges constructs a graph directly from undirected edges; used by
-// tests and by the distributed algorithm's local refinement step. Edges
-// must have weights >= 1; duplicate pairs are rejected.
+// tests, by the distributed algorithm's local refinement step, and by
+// the epoch pipeline's from-scratch builds. Edges must have weights >= 1;
+// duplicate pairs are rejected.
+//
+// The rows are cut from one exactly-sized buffer, and duplicates are
+// caught with a dense per-vertex stamp rather than a map of pairs: an
+// undirected pair listed twice shows up twice in both endpoints' rows.
 func FromEdges(n int, edges []graph.Edge) (*Graph, error) {
-	g := &Graph{adj: make([][]Edge, n)}
-	seen := make(map[[2]int32]bool, len(edges))
+	deg := make([]int32, n)
 	for _, e := range edges {
 		if e.U == e.V {
 			return nil, fmt.Errorf("wpg: self loop on vertex %d", e.U)
@@ -129,16 +143,31 @@ func FromEdges(n int, edges []graph.Edge) (*Graph, error) {
 		if e.W < 1 {
 			return nil, fmt.Errorf("wpg: edge (%d,%d) weight %d < 1", e.U, e.V, e.W)
 		}
-		key := [2]int32{e.U, e.V}
-		if e.U > e.V {
-			key = [2]int32{e.V, e.U}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	g := &Graph{adj: make([][]Edge, n)}
+	buf := make([]Edge, 2*len(edges))
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v] = buf[off : off : off+int(d)]
+			off += int(d)
 		}
-		if seen[key] {
-			return nil, fmt.Errorf("wpg: duplicate edge (%d,%d)", e.U, e.V)
-		}
-		seen[key] = true
+	}
+	for _, e := range edges {
 		g.adj[e.U] = append(g.adj[e.U], Edge{To: e.V, W: e.W})
 		g.adj[e.V] = append(g.adj[e.V], Edge{To: e.U, W: e.W})
+	}
+	stamp := deg
+	clear(stamp)
+	for v, row := range g.adj {
+		for _, e := range row {
+			if stamp[e.To] == int32(v)+1 {
+				return nil, fmt.Errorf("wpg: duplicate edge (%d,%d)", min(int32(v), e.To), max(int32(v), e.To))
+			}
+			stamp[e.To] = int32(v) + 1
+		}
 	}
 	g.sortAdj()
 	return g, nil
@@ -154,35 +183,46 @@ func MustFromEdges(n int, edges []graph.Edge) *Graph {
 	return g
 }
 
+// sortAdj puts every row in canonical (W, To) order, clips it to
+// cap == len, and counts the edges.
 func (g *Graph) sortAdj() {
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool {
-			if a[i].W != a[j].W {
-				return a[i].W < a[j].W
-			}
-			return a[i].To < a[j].To
-		})
+	total := 0
+	for v, a := range g.adj {
+		sortRow(a)
+		g.adj[v] = slices.Clip(a)
+		total += len(a)
 	}
+	g.edges = total / 2
+}
+
+// sortRow sorts a row by (W, To). Rows never list a neighbor twice, so
+// the comparison is a total order and the result is unique.
+func sortRow(a []Edge) {
+	if len(a) > 1 {
+		slices.SortFunc(a, compareEdges)
+	}
+}
+
+func compareEdges(a, b Edge) int {
+	if a.W != b.W {
+		return cmp.Compare(a.W, b.W)
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.adj) }
 
-// Neighbors returns v's adjacency list, sorted by (weight, id). Callers
-// must not modify the returned slice.
+// Neighbors returns v's adjacency list, sorted by (weight, id). The row
+// is immutable and may be shared with other graphs (see Rewire): callers
+// must never write into it.
 func (g *Graph) Neighbors(v int32) []Edge { return g.adj[v] }
 
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int32) int { return len(g.adj[v]) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Edges returns all undirected edges (each pair once, U < V).
 func (g *Graph) Edges() []graph.Edge {
@@ -220,52 +260,188 @@ func (g *Graph) Components() [][]int32 {
 				}
 			}
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		comps = append(comps, members)
 	}
 	return comps
 }
 
-// EqualInduced reports whether the subgraphs of a and b induced by the
-// given vertex set are identical: every member has the same adjacency
-// list (same neighbors, same weights, same order — adjacency is
-// canonically sorted, so slice equality is set equality) restricted to
-// members in both graphs. Vertices outside [0, NumVertices()) of either
-// graph make the result false. The incremental epoch rebuild uses this
-// to prove a connected component untouched before splicing its previous
-// clusters into the next generation.
-func EqualInduced(a, b *Graph, members []int32) bool {
-	inSet := make(map[int32]bool, len(members))
-	for _, v := range members {
-		inSet[v] = true
+// SharedRow reports whether a and b hold the very same row for v: the
+// same backing array and length, or both empty. Rows are immutable, so
+// a shared row is an equal row; this is the O(1) test the incremental
+// epoch rebuild uses to prove a component untouched before it splices
+// the component's previous clusters — every member keeping its whole
+// row also proves the members still form a component. v must be a
+// vertex of both graphs.
+func SharedRow(a, b *Graph, v int32) bool {
+	ar, br := a.adj[v], b.adj[v]
+	if len(ar) != len(br) {
+		return false
 	}
-	for _, v := range members {
-		if v < 0 || int(v) >= len(a.adj) || int(v) >= len(b.adj) {
-			return false
+	return len(ar) == 0 || &ar[0] == &br[0]
+}
+
+// Induced returns the subgraph induced by members, relabeled so that
+// members[i] becomes vertex i. members must be sorted strictly
+// ascending. The relabel is monotone, so each row read off g stays in
+// (W, To) order and nothing is sorted; edges leaving the set are
+// dropped. For a connected component — closed under adjacency — every
+// edge of every member is kept.
+func (g *Graph) Induced(members []int32) *Graph {
+	// local[v] is v's index in members. The scratch is pooled and never
+	// cleared, so a lookup only counts when members[local[v]] == v.
+	lp := localScratch.Get().(*[]int32)
+	defer localScratch.Put(lp)
+	if len(*lp) < len(g.adj) {
+		*lp = make([]int32, len(g.adj))
+	}
+	local := *lp
+	total := 0
+	for i, v := range members {
+		if i > 0 && members[i-1] >= v {
+			panic(fmt.Sprintf("wpg: Induced members not strictly ascending at index %d", i))
 		}
-		av, bv := a.adj[v], b.adj[v]
-		i, j := 0, 0
-		for {
-			for i < len(av) && !inSet[av[i].To] {
-				i++
+		local[v] = int32(i)
+		total += len(g.adj[v])
+	}
+	sub := &Graph{adj: make([][]Edge, len(members))}
+	buf := make([]Edge, 0, total)
+	for i, v := range members {
+		start := len(buf)
+		for _, e := range g.adj[v] {
+			if j := local[e.To]; int(j) < len(members) && members[j] == e.To {
+				buf = append(buf, Edge{To: j, W: e.W})
 			}
-			for j < len(bv) && !inSet[bv[j].To] {
-				j++
-			}
-			if i == len(av) || j == len(bv) {
-				if i != len(av) || j != len(bv) {
-					return false
-				}
-				break
-			}
-			if av[i] != bv[j] {
-				return false
-			}
-			i++
-			j++
+		}
+		if len(buf) > start {
+			sub.adj[i] = buf[start:len(buf):len(buf)]
 		}
 	}
-	return true
+	sub.edges = len(buf) / 2
+	return sub
+}
+
+// localScratch holds the vertex-indexed relabel arrays Induced reuses
+// across calls; concurrent clustering workers each take their own.
+var localScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// Rewire returns the successor of g in which each vertex vs[i] has the
+// complete adjacency row rows[i]: every listed edge is mirrored into
+// the other endpoint's row, and every edge between vs[i] and a vertex
+// outside vs that rows[i] no longer lists is removed from both sides.
+// Every other row is shared with g, not copied, and so is a vs row
+// whose content did not change. touched lists, ascending, the vertices
+// whose rows changed; each of them gets a fresh row with cap == len.
+// The edge count is carried forward from g rather than recounted.
+//
+// rows are sorted in place and not retained. The rows of two vertices
+// of vs must agree on the edge between them; a row with a self loop, an
+// out-of-range neighbor, a weight below 1, or a neighbor listed twice
+// is rejected, and so is a vertex listed twice in vs.
+func (g *Graph) Rewire(vs []int32, rows [][]Edge) (next *Graph, touched []int32, err error) {
+	n := len(g.adj)
+	if len(vs) != len(rows) {
+		return nil, nil, fmt.Errorf("wpg: Rewire: %d vertices but %d rows", len(vs), len(rows))
+	}
+	// pos[v] is 1 + v's index in vs (0 = not rewired); stamp marks the
+	// neighbors already seen in the row being checked, then the outside
+	// vertices already queued for a row update.
+	pos := make([]int32, n)
+	stamp := make([]int32, n)
+	for i, v := range vs {
+		if v < 0 || int(v) >= n {
+			return nil, nil, fmt.Errorf("wpg: Rewire vertex %d out of range [0,%d)", v, n)
+		}
+		if pos[v] != 0 {
+			return nil, nil, fmt.Errorf("wpg: Rewire vertex %d listed twice", v)
+		}
+		pos[v] = int32(i) + 1
+	}
+	for i, v := range vs {
+		for _, e := range rows[i] {
+			switch {
+			case e.To == v:
+				return nil, nil, fmt.Errorf("wpg: self loop on vertex %d", v)
+			case e.To < 0 || int(e.To) >= n:
+				return nil, nil, fmt.Errorf("wpg: edge (%d,%d) out of range [0,%d)", v, e.To, n)
+			case e.W < 1:
+				return nil, nil, fmt.Errorf("wpg: edge (%d,%d) weight %d < 1", v, e.To, e.W)
+			case stamp[e.To] == int32(i)+1:
+				return nil, nil, fmt.Errorf("wpg: duplicate edge (%d,%d)", min(v, e.To), max(v, e.To))
+			}
+			stamp[e.To] = int32(i) + 1
+			if p := pos[e.To]; p != 0 && !slices.Contains(rows[p-1], Edge{To: v, W: e.W}) {
+				return nil, nil, fmt.Errorf("wpg: edge (%d,%d) weight %d has no matching reverse", v, e.To, e.W)
+			}
+		}
+	}
+
+	next = &Graph{adj: make([][]Edge, n)}
+	copy(next.adj, g.adj)
+	// halfEdges tracks the change in row lengths; every edge added or
+	// removed changes two rows, both of which pass through replace.
+	halfEdges := 0
+	replace := func(v int32, row []Edge) {
+		sortRow(row)
+		old := g.adj[v]
+		if slices.Equal(old, row) {
+			return
+		}
+		fresh := make([]Edge, len(row))
+		copy(fresh, row)
+		next.adj[v] = fresh
+		halfEdges += len(row) - len(old)
+		touched = append(touched, v)
+	}
+
+	// Outside vertices adjacent to a rewired vertex before or after
+	// gain, keep, or lose edges; collect what each one gains.
+	type gain struct {
+		v int32
+		e Edge
+	}
+	clear(stamp)
+	var outside []int32
+	var gains []gain
+	mark := func(u int32) {
+		if pos[u] == 0 && stamp[u] == 0 {
+			stamp[u] = 1
+			outside = append(outside, u)
+		}
+	}
+	for i, v := range vs {
+		for _, e := range g.adj[v] {
+			mark(e.To)
+		}
+		for _, e := range rows[i] {
+			mark(e.To)
+			if pos[e.To] == 0 {
+				gains = append(gains, gain{v: e.To, e: Edge{To: v, W: e.W}})
+			}
+		}
+	}
+	for i, v := range vs {
+		replace(v, rows[i])
+	}
+	slices.Sort(outside)
+	slices.SortFunc(gains, func(a, b gain) int { return cmp.Compare(a.v, b.v) })
+	var scratch []Edge
+	for _, u := range outside {
+		scratch = scratch[:0]
+		for _, e := range g.adj[u] {
+			if pos[e.To] == 0 {
+				scratch = append(scratch, e)
+			}
+		}
+		for len(gains) > 0 && gains[0].v == u {
+			scratch = append(scratch, gains[0].e)
+			gains = gains[1:]
+		}
+		replace(u, scratch)
+	}
+	next.edges = g.edges + halfEdges/2
+	slices.Sort(touched)
+	return next, touched, nil
 }
 
 // Weight returns the weight of edge (u,v) and whether it exists.
@@ -279,9 +455,15 @@ func (g *Graph) Weight(u, v int32) (int32, bool) {
 }
 
 // Validate checks structural invariants: symmetry, matching weights, no
-// self loops, weights >= 1, sorted adjacency.
+// self loops, weights >= 1, sorted adjacency, rows clipped to
+// cap == len, and the carried edge count.
 func (g *Graph) Validate() error {
+	total := 0
 	for v, a := range g.adj {
+		total += len(a)
+		if cap(a) != len(a) {
+			return fmt.Errorf("wpg: row of %d has spare capacity (len %d, cap %d)", v, len(a), cap(a))
+		}
 		for i, e := range a {
 			if e.To == int32(v) {
 				return fmt.Errorf("wpg: self loop on %d", v)
@@ -300,6 +482,9 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("wpg: edge (%d,%d) weight mismatch %d vs %d", v, e.To, e.W, w)
 			}
 		}
+	}
+	if total != 2*g.edges {
+		return fmt.Errorf("wpg: edge count %d, rows hold %d half-edges", g.edges, total)
 	}
 	return nil
 }

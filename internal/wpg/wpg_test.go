@@ -292,60 +292,3 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-func TestEqualInduced(t *testing.T) {
-	// Two components: a triangle {0,1,2} and a pair {3,4}.
-	base := []graph.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3},
-		{U: 3, V: 4, W: 1},
-	}
-	a := MustFromEdges(5, base)
-
-	// Identical graph: every induced subgraph matches.
-	b := MustFromEdges(5, base)
-	for _, members := range [][]int32{{0, 1, 2}, {3, 4}, {0, 1, 2, 3, 4}} {
-		if !EqualInduced(a, b, members) {
-			t.Errorf("identical graphs: EqualInduced(%v) = false", members)
-		}
-	}
-
-	// A weight change inside the set is detected...
-	c := MustFromEdges(5, []graph.Edge{
-		{U: 0, V: 1, W: 9}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3},
-		{U: 3, V: 4, W: 1},
-	})
-	if EqualInduced(a, c, []int32{0, 1, 2}) {
-		t.Error("changed weight inside the set not detected")
-	}
-	// ...but a change in the other component is invisible to this set.
-	if !EqualInduced(a, c, []int32{3, 4}) {
-		t.Error("change outside the set leaked into the comparison")
-	}
-
-	// A dropped edge inside the set is detected.
-	d := MustFromEdges(5, []graph.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2},
-		{U: 3, V: 4, W: 1},
-	})
-	if EqualInduced(a, d, []int32{0, 1, 2}) {
-		t.Error("dropped edge inside the set not detected")
-	}
-
-	// Edges leaving the set are ignored: {0,1} induces just edge (0,1)
-	// in both a and d, even though a has 0-2 and 1-2 as well.
-	if !EqualInduced(a, d, []int32{0, 1}) {
-		t.Error("edges leaving the set should not affect the comparison")
-	}
-
-	// Out-of-range members are never equal.
-	if EqualInduced(a, b, []int32{0, 99}) {
-		t.Error("out-of-range member compared equal")
-	}
-	small := MustFromEdges(2, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if EqualInduced(a, small, []int32{0, 1, 2}) {
-		t.Error("member outside the smaller graph compared equal")
-	}
-	if !EqualInduced(a, small, []int32{0, 1}) {
-		t.Error("matching induced pair across different-size graphs should be equal")
-	}
-}

@@ -62,7 +62,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   bench run [-grid tiny|default|contention] [-pops a,b] [-ks a,b] [-churns a,b]
-            [-workers a,b] [-ingest a,b] [-profiles a,b] [-reps n] [-ticks n] [-requests n]
+            [-workers a,b] [-ingest a,b] [-profiles a,b] [-gomaxprocs a,b] [-reps n]
+            [-ticks n] [-requests n]
             [-theta f] [-seed n] [-rev r] [-out dir]
   bench validate <report.json>
   bench diff [-threshold f] [-sigmas f] <baseline.json|dir> <current.json|dir>`)
@@ -79,6 +80,7 @@ func cmdRun(args []string) error {
 		workers  = fs.String("workers", "", "comma-separated worker axis override")
 		ingest   = fs.String("ingest", "", "comma-separated ingest-buffer axis override (0 = direct)")
 		profiles = fs.String("profiles", "", "comma-separated profile-mix axis override (empty value = all defaults)")
+		procs    = fs.String("gomaxprocs", "", "comma-separated GOMAXPROCS axis override (0 = the process setting)")
 		reps     = fs.Int("reps", 0, "repetitions per cell (0 = grid default)")
 		ticks    = fs.Int("ticks", 0, "churn ticks per rep (0 = grid default)")
 		requests = fs.Int("requests", 0, "requests per rep (0 = grid default)")
@@ -125,6 +127,9 @@ func cmdRun(args []string) error {
 	}
 	if *profiles != "" {
 		g.Profiles = strings.Split(*profiles, ",")
+	}
+	if g.GOMAXPROCS, err = overrideInts(g.GOMAXPROCS, *procs); err != nil {
+		return fmt.Errorf("-gomaxprocs: %w", err)
 	}
 	if *reps > 0 {
 		g.Reps = *reps
@@ -224,9 +229,12 @@ func cmdDiff(args []string) error {
 	for _, d := range res.Regressions {
 		fmt.Printf("REGRESSION: %s\n", d)
 	}
+	for _, d := range res.Drift {
+		fmt.Printf("DRIFT: %s\n", d)
+	}
 	if !res.OK() {
-		return fmt.Errorf("%d regressions beyond %.0f%% (baseline %s, current %s)",
-			len(res.Regressions), *threshold*100, base.Rev, cur.Rev)
+		return fmt.Errorf("%d regressions beyond %.0f%% and %d determinism drifts (baseline %s, current %s)",
+			len(res.Regressions), *threshold*100, len(res.Drift), base.Rev, cur.Rev)
 	}
 	fmt.Printf("ok: %s vs %s — %d improved, %d suspects, %d warnings\n",
 		base.Rev, cur.Rev, len(res.Improved), len(res.Suspects), len(res.Warnings))

@@ -89,6 +89,16 @@ go test -bench='^BenchmarkEpochIncrementalRebuild$' -benchtime=1x -run '^$' .
 echo "==> go test -run=TestBufferedMatchesDirectDifferential (ingest equivalence)"
 go test -run='^TestBufferedMatchesDirectDifferential$' -count=1 ./internal/epoch
 
+# The copy-on-write contract, by name and under the race detector:
+# incremental generations equal full ones (clusters and every adjacency
+# row, order and length included), the graph-level row differential
+# over messy upload lists, and no build ever writes into a row or
+# member list an earlier generation published, with readers running.
+echo "==> go test -race -run=incremental row differentials + immutability"
+go test -race -count=1 \
+    -run='^(TestIncrementalMatchesFullDifferential|TestIncrementalRowsMatchFull|TestPublishedGenerationsStayImmutable)$' \
+    ./internal/epoch
+
 # The personalized-profile contract, by name: default profiles are
 # bit-identical to no profiles, heterogeneous floors satisfy max(k_i).
 echo "==> go test -run=TestProfileDifferential (profile equivalence)"
