@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"nonexposure/internal/anonymizer"
 	"nonexposure/internal/core"
@@ -24,8 +23,6 @@ import (
 	"nonexposure/internal/geo"
 	"nonexposure/internal/graph"
 	"nonexposure/internal/lbs"
-	"nonexposure/internal/metrics"
-	"nonexposure/internal/workload"
 	"nonexposure/internal/wpg"
 )
 
@@ -739,127 +736,5 @@ func BenchmarkDendrogramBuild(b *testing.B) {
 		if d := graph.BuildBinaryDendrogram(n, edges); d.NumLeaves != n {
 			b.Fatal("bad dendrogram")
 		}
-	}
-}
-
-// BenchmarkUploadThroughputZipf measures upload ingestion throughput on
-// a Zipf(1.0)-skewed stream over 20k users — the contention workload
-// the buffered ingest path exists for. "direct" serializes every Upload
-// on the epoch manager lock; "buffered" absorbs them into per-shard
-// ingest buffers (one per worker) and reconciles once at the end, which
-// is included in the timing. A background cloaker hammers the read path
-// throughout and its p99 is reported alongside, pinning that ingestion
-// pressure does not leak into serving latency. Worker scaling is bound
-// by GOMAXPROCS — on a single-core box the buffered win shows up as
-// less lock traffic per upload, not as parallel speedup.
-func BenchmarkUploadThroughputZipf(b *testing.B) {
-	pts := dataset.GaussianClusters(20000, 200, 0.004, 11)
-	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.008, MaxPeers: 10})
-	n := g.NumVertices()
-	uploads := make(map[int32][]epoch.RankedPeer, n)
-	for v := int32(0); v < int32(n); v++ {
-		var peers []epoch.RankedPeer
-		for _, e := range g.Neighbors(v) {
-			peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
-		}
-		uploads[v] = peers
-	}
-	hosts, err := workload.ZipfHosts(n, 1<<16, 1.0, 13)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	run := func(b *testing.B, workers, buffers int) {
-		m, err := epoch.New(n, epoch.WithK(10), epoch.WithIngestBuffers(buffers))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		ctx := context.Background()
-		for v, peers := range uploads {
-			if err := m.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := m.Rotate(ctx); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Sync(ctx); err != nil {
-			b.Fatal(err)
-		}
-
-		reqm := metrics.NewRequestMetrics()
-		stop := make(chan struct{})
-		var cloaker sync.WaitGroup
-		cloaker.Add(1)
-		go func() {
-			defer cloaker.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				host := hosts[i%len(hosts)]
-				t0 := time.Now()
-				_, err := m.Cloak(ctx, host)
-				reqm.Observe("cloak", time.Since(t0), err == nil)
-			}
-		}()
-
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		per := b.N / workers
-		extra := b.N % workers
-		for w := 0; w < workers; w++ {
-			count := per
-			if w < extra {
-				count++
-			}
-			wg.Add(1)
-			go func(w, count int) {
-				defer wg.Done()
-				idx := (w * 7919) % len(hosts)
-				for i := 0; i < count; i++ {
-					u := hosts[idx]
-					if idx++; idx == len(hosts) {
-						idx = 0
-					}
-					peers := append([]epoch.RankedPeer(nil), uploads[u]...)
-					if len(peers) > 0 {
-						peers[0].Rank = int32(1 + (i+w)%7) // a real rank change per upload
-					}
-					if err := m.Upload(ctx, epoch.UploadRequest{User: u, Peers: peers}); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(w, count)
-		}
-		wg.Wait()
-		if buffers > 0 {
-			if err := m.Reconcile(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		close(stop)
-		cloaker.Wait()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uploads/s")
-		if snap := reqm.Snapshot(); snap.Total > 0 {
-			b.ReportMetric(float64(snap.P99.Nanoseconds()), "cloak_p99_ns")
-		}
-	}
-	for _, bb := range []struct {
-		name             string
-		workers, buffers int
-	}{
-		{"direct/workers=1", 1, 0},
-		{"direct/workers=4", 4, 0},
-		{"buffered/workers=1", 1, 1},
-		{"buffered/workers=2", 2, 2},
-		{"buffered/workers=4", 4, 4},
-	} {
-		b.Run(bb.name, func(b *testing.B) { run(b, bb.workers, bb.buffers) })
 	}
 }

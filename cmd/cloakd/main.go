@@ -62,7 +62,6 @@ type config struct {
 	everyN        int
 	frac          float64
 	maxStale      time.Duration
-	ingestBuffers int
 	traceCap      int
 	fullRebuild   bool
 	demo          bool
@@ -95,9 +94,6 @@ func (c config) validate() error {
 	if c.maxStale < 0 {
 		return fmt.Errorf("-max-staleness must be >= 0, got %v", c.maxStale)
 	}
-	if c.ingestBuffers < 0 {
-		return fmt.Errorf("-ingest-buffers must be >= 0, got %d", c.ingestBuffers)
-	}
 	if c.traceCap < 0 {
 		return fmt.Errorf("-trace must be >= 0, got %d", c.traceCap)
 	}
@@ -108,8 +104,8 @@ func (c config) validate() error {
 		if c.shardAddrs == "" && c.shards < 1 {
 			return fmt.Errorf("-shards must be >= 1 with -coordinator, got %d", c.shards)
 		}
-		if c.frac != 0 || c.maxStale != 0 || c.ingestBuffers != 0 || c.fullRebuild || c.traceCap != 0 {
-			return fmt.Errorf("-coordinator only routes; rebuild tuning flags (-rebuild-frac, -max-staleness, -ingest-buffers, -full-rebuild, -trace) belong on the shard processes")
+		if c.frac != 0 || c.maxStale != 0 || c.fullRebuild || c.traceCap != 0 {
+			return fmt.Errorf("-coordinator only routes; rebuild tuning flags (-rebuild-frac, -max-staleness, -full-rebuild, -trace) belong on the shard processes")
 		}
 	} else if c.shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs requires -coordinator")
@@ -133,7 +129,6 @@ func main() {
 	flag.IntVar(&cfg.everyN, "rebuild-uploads", 0, "rebuild after this many uploads (0 = disabled)")
 	flag.Float64Var(&cfg.frac, "rebuild-frac", 0, "rebuild once this fraction of users changed (0 = disabled)")
 	flag.DurationVar(&cfg.maxStale, "max-staleness", 0, "rebuild when uploads have waited this long without another trigger (0 = disabled)")
-	flag.IntVar(&cfg.ingestBuffers, "ingest-buffers", 0, "buffered upload ingestion with this many shards (0 = direct; try the upload worker count)")
 	flag.IntVar(&cfg.traceCap, "trace", 0, "record span trees for the most recent N requests/builds, served at /tracez (0 = off)")
 	flag.BoolVar(&cfg.fullRebuild, "full-rebuild", false, "rebuild every epoch from scratch instead of the incremental sharded path")
 	flag.BoolVar(&cfg.demo, "demo", false, "run a self-contained demo population against the server and exit")
@@ -165,7 +160,6 @@ func run(cfg config) error {
 		service.WithEpochOptions(
 			epoch.WithPolicy(policy),
 			epoch.WithIncremental(!cfg.fullRebuild),
-			epoch.WithIngestBuffers(cfg.ingestBuffers),
 		),
 		service.WithMetrics(em),
 	}

@@ -26,8 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative trace", func(c *config) { c.traceCap = -1 }, "-trace must be >= 0"},
 		{"negative max-staleness", func(c *config) { c.maxStale = -time.Second }, "-max-staleness must be >= 0"},
 		{"max-staleness on", func(c *config) { c.maxStale = 30 * time.Second }, ""},
-		{"negative ingest-buffers", func(c *config) { c.ingestBuffers = -1 }, "-ingest-buffers must be >= 0"},
-		{"ingest-buffers on", func(c *config) { c.ingestBuffers = 8 }, ""},
 		{"coordinator with failover", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = time.Second }, ""},
 		{"negative failover-after", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = -time.Second },
 			"-failover-after must be >= 0"},

@@ -13,14 +13,12 @@
 // population: each tick a fraction of the users move (local-wander
 // mobility) and re-upload their proximity rankings, the pipeline
 // rotates a new epoch in the background, and concurrent cloak clients
-// measure availability across the generation swaps. -ingest-buffers N
-// routes the uploads through the sharded coalescing ingest layer
-// (see "Sharded upload ingestion" in DESIGN.md).
+// measure availability across the generation swaps.
 //
 // With -cell it runs one experiment-grid cell (internal/bench): -reps
 // repetitions of cold build + churn ticks + a Zipf-skewed request replay
-// over the (n, k, churnfrac, workers, ingest-buffers) point, printing
-// the aggregated CellResult as JSON.
+// over the (n, k, churnfrac, workers) point, printing the aggregated
+// CellResult as JSON.
 //
 // With -faults it runs the deterministic fault-injection harness: N
 // seeded scenarios (message loss, lossy links, loss bursts, node
@@ -92,7 +90,6 @@ type simConfig struct {
 	reps          int
 	ticks         int
 	theta         float64
-	ingestBuffers int
 	profiles      bool
 	cluster       bool
 	shards        int
@@ -171,9 +168,6 @@ func (c simConfig) validate() error {
 	if c.theta < 0 || math.IsNaN(c.theta) || math.IsInf(c.theta, 0) {
 		return fmt.Errorf("-theta must be finite and >= 0, got %g", c.theta)
 	}
-	if c.ingestBuffers < 0 {
-		return fmt.Errorf("-ingest-buffers must be >= 0, got %d", c.ingestBuffers)
-	}
 	if c.cell {
 		if c.reps < 1 {
 			return fmt.Errorf("-reps must be >= 1, got %d", c.reps)
@@ -211,7 +205,6 @@ func main() {
 	flag.IntVar(&cfg.reps, "reps", 1, "repetitions per cell for -cell")
 	flag.IntVar(&cfg.ticks, "ticks", 4, "churn ticks per rep for -cell")
 	flag.Float64Var(&cfg.theta, "theta", 0.8, "Zipf skew of the request mix for -cell and -load")
-	flag.IntVar(&cfg.ingestBuffers, "ingest-buffers", 0, "buffered upload ingestion shards for -churn and -cell (0 = direct)")
 	flag.BoolVar(&cfg.profiles, "profiles", false, "utility-frontier mode: run the mixed privacy-profile tier mix through the epoch pipeline and report per-tier cloak area vs candidate-set size")
 	flag.BoolVar(&cfg.cluster, "cluster", false, "cluster mode: bring up a sharded cloakd cluster behind a routing coordinator and run the churn+load workload against it")
 	flag.IntVar(&cfg.shards, "shards", 2, "shard count for -cluster")
@@ -231,7 +224,7 @@ func main() {
 		case cfg.faults > 0:
 			err = runFaults(cfg.faults, cfg.faultSeed)
 		case cfg.churn > 0:
-			err = runChurn(cfg.n, cfg.k, cfg.seed, cfg.delta, cfg.churn, cfg.churnFrac, cfg.workers, cfg.ingestBuffers)
+			err = runChurn(cfg.n, cfg.k, cfg.seed, cfg.delta, cfg.churn, cfg.churnFrac, cfg.workers)
 		case cfg.load > 0:
 			err = runLoad(cfg.n, cfg.k, cfg.seed, cfg.delta, cfg.load, cfg.workers, cfg.theta)
 		default:
@@ -256,7 +249,7 @@ func runGridCell(cfg simConfig) error {
 		requests = 2000
 	}
 	res, err := bench.RunCell(
-		bench.CellParams{N: cfg.n, K: cfg.k, ChurnFrac: cfg.churnFrac, Workers: cfg.workers, IngestBuffers: cfg.ingestBuffers},
+		bench.CellParams{N: cfg.n, K: cfg.k, ChurnFrac: cfg.churnFrac, Workers: cfg.workers},
 		bench.CellConfig{Ticks: cfg.ticks, Requests: requests, Theta: cfg.theta, Seed: cfg.seed, Reps: cfg.reps},
 	)
 	if err != nil {
@@ -273,7 +266,7 @@ func runGridCell(cfg simConfig) error {
 // runChurn is the epoch-pipeline workload: a mobile population keeps
 // re-uploading while concurrent clients cloak, and the report shows how
 // availability held up across the background generation swaps.
-func runChurn(n, k int, seed int64, delta float64, ticks int, frac float64, workers, ingestBuffers int) error {
+func runChurn(n, k int, seed int64, delta float64, ticks int, frac float64, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -289,8 +282,7 @@ func runChurn(n, k int, seed int64, delta float64, ticks int, frac float64, work
 		return err
 	}
 	em := metrics.NewEpochMetrics()
-	mgr, err := epoch.New(n, epoch.WithK(k), epoch.WithMetrics(em),
-		epoch.WithIngestBuffers(ingestBuffers))
+	mgr, err := epoch.New(n, epoch.WithK(k), epoch.WithMetrics(em))
 	if err != nil {
 		return err
 	}

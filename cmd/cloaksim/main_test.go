@@ -36,8 +36,6 @@ func TestSimConfigValidate(t *testing.T) {
 		{"cell nan theta", func(c *simConfig) { c.cell = true; c.reps = 1; c.ticks = 2; c.theta = math.NaN() }, "-theta must be finite"},
 		{"load negative theta", func(c *simConfig) { c.load = 100; c.theta = -0.5 }, "-theta must be finite"},
 		{"load zipf theta", func(c *simConfig) { c.load = 100; c.theta = 1.0 }, ""},
-		{"negative ingest-buffers", func(c *simConfig) { c.ingestBuffers = -1 }, "-ingest-buffers must be >= 0"},
-		{"churn with ingest-buffers", func(c *simConfig) { c.churn = 5; c.churnFrac = 0.2; c.ingestBuffers = 4 }, ""},
 		{"profiles mode", func(c *simConfig) { c.profiles = true }, ""},
 		{"profiles with cell", func(c *simConfig) { c.profiles = true; c.cell = true; c.reps = 1; c.ticks = 2 },
 			"-profiles and -cell are mutually exclusive"},
@@ -47,8 +45,6 @@ func TestSimConfigValidate(t *testing.T) {
 			"-profiles cannot be combined"},
 		{"profiles with faults", func(c *simConfig) { c.profiles = true; c.faults = 10 },
 			"-profiles cannot be combined"},
-		{"profiles with ingest-buffers", func(c *simConfig) { c.profiles = true; c.ingestBuffers = -1 },
-			"-ingest-buffers must be >= 0"},
 		{"cluster with failover", func(c *simConfig) { c.cluster = true; c.shards = 2; c.failoverAfter = 1e9 }, ""},
 		{"negative failover-after", func(c *simConfig) { c.cluster = true; c.shards = 2; c.failoverAfter = -1 },
 			"-failover-after must be >= 0"},

@@ -129,27 +129,12 @@ func WriteMetrics(w io.Writer, req metrics.RequestSnapshot, ep metrics.EpochSnap
 	writeScalar(w, "cloakd_epoch_staleness_seconds", "gauge",
 		"Age of the published generation.", ep.Staleness.Seconds())
 
-	// Buffered-ingestion counters (all zero when -ingest-buffers is off).
-	writeScalar(w, "cloakd_ingest_buffered_total", "counter",
-		"Uploads absorbed into ingest buffers.", float64(ep.Buffered))
-	writeScalar(w, "cloakd_ingest_coalesced_total", "counter",
-		"Buffered uploads merged last-write-wins into an existing entry.", float64(ep.Coalesced))
-	writeScalar(w, "cloakd_ingest_reconciles_total", "counter",
-		"Non-empty reconcile drains of the ingest buffers.", float64(ep.Reconciles))
-	writeScalar(w, "cloakd_ingest_reconciled_total", "counter",
-		"Raw uploads drained from ingest buffers by reconciles.", float64(ep.Reconciled))
-	writeScalar(w, "cloakd_ingest_pending_buffered", "gauge",
-		"Buffered uploads not yet reconciled.", float64(ep.PendingBuffered))
-
 	// Privacy-profile gauges (both zero while every user runs the
 	// default profile).
 	writeScalar(w, "cloakd_profiled_users", "gauge",
 		"Users with a non-default privacy profile in the latest generation's snapshot.", float64(ep.Profiled))
 	writeScalar(w, "cloakd_degraded_users", "gauge",
 		"Users served with their MaxArea bound exceeded in the latest generation.", float64(ep.Degraded))
-
-	writeHistogram(w, "cloakd_ingest_reconcile_seconds",
-		"Ingest buffer reconcile-drain duration.", ep.ReconcileHist)
 
 	writeHistogram(w, "cloakd_epoch_build_seconds",
 		"End-to-end epoch rebuild duration.", ep.BuildHist)

@@ -148,11 +148,8 @@ func TestWriteMetricsGolden(t *testing.T) {
 		Builds: 3, BuildFails: 1, Swaps: 2, Pending: 1,
 		ShardsTotal: 6, ShardsRebuilt: 2,
 		Staleness: 1500 * time.Millisecond,
-		Buffered:  10, Coalesced: 4, Reconciles: 2, Reconciled: 10,
-		PendingBuffered: 3,
-		Profiled:        4, Degraded: 1,
-		ReconcileHist: histWith(t, map[int]uint64{10: 2}, 2*(1<<10)),
-		BuildHist:     histWith(t, map[int]uint64{20: 3}, 3*(1<<20)),
+		Profiled:  4, Degraded: 1,
+		BuildHist: histWith(t, map[int]uint64{20: 3}, 3*(1<<20)),
 		BuildStages: []metrics.StageSnapshot{
 			{Stage: "queue", Count: 3, Total: 300 * time.Millisecond},
 			{Stage: "cluster", Count: 3, Total: 2 * time.Second},
@@ -199,43 +196,12 @@ cloakd_epoch_shards_rebuilt_total 2
 # HELP cloakd_epoch_staleness_seconds Age of the published generation.
 # TYPE cloakd_epoch_staleness_seconds gauge
 cloakd_epoch_staleness_seconds 1.5
-# HELP cloakd_ingest_buffered_total Uploads absorbed into ingest buffers.
-# TYPE cloakd_ingest_buffered_total counter
-cloakd_ingest_buffered_total 10
-# HELP cloakd_ingest_coalesced_total Buffered uploads merged last-write-wins into an existing entry.
-# TYPE cloakd_ingest_coalesced_total counter
-cloakd_ingest_coalesced_total 4
-# HELP cloakd_ingest_reconciles_total Non-empty reconcile drains of the ingest buffers.
-# TYPE cloakd_ingest_reconciles_total counter
-cloakd_ingest_reconciles_total 2
-# HELP cloakd_ingest_reconciled_total Raw uploads drained from ingest buffers by reconciles.
-# TYPE cloakd_ingest_reconciled_total counter
-cloakd_ingest_reconciled_total 10
-# HELP cloakd_ingest_pending_buffered Buffered uploads not yet reconciled.
-# TYPE cloakd_ingest_pending_buffered gauge
-cloakd_ingest_pending_buffered 3
 # HELP cloakd_profiled_users Users with a non-default privacy profile in the latest generation's snapshot.
 # TYPE cloakd_profiled_users gauge
 cloakd_profiled_users 4
 # HELP cloakd_degraded_users Users served with their MaxArea bound exceeded in the latest generation.
 # TYPE cloakd_degraded_users gauge
 cloakd_degraded_users 1
-# HELP cloakd_ingest_reconcile_seconds Ingest buffer reconcile-drain duration.
-# TYPE cloakd_ingest_reconcile_seconds histogram
-cloakd_ingest_reconcile_seconds_bucket{le="2e-09"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="4e-09"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="8e-09"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="1.6e-08"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="3.2e-08"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="6.4e-08"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="1.28e-07"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="2.56e-07"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="5.12e-07"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="1.024e-06"} 0
-cloakd_ingest_reconcile_seconds_bucket{le="2.048e-06"} 2
-cloakd_ingest_reconcile_seconds_bucket{le="+Inf"} 2
-cloakd_ingest_reconcile_seconds_sum 2.048e-06
-cloakd_ingest_reconcile_seconds_count 2
 # HELP cloakd_epoch_build_seconds End-to-end epoch rebuild duration.
 # TYPE cloakd_epoch_build_seconds histogram
 cloakd_epoch_build_seconds_bucket{le="2e-09"} 0

@@ -52,15 +52,8 @@ type CellParams struct {
 	// ChurnFrac is the fraction of users re-uploading per churn tick.
 	ChurnFrac float64 `json:"churn_frac"`
 	// Workers sets both the rebuild worker pool and the number of
-	// concurrent cloak clients in the request phase — and, when
-	// IngestBuffers is on, the number of concurrent uploaders.
+	// concurrent cloak clients in the request phase.
 	Workers int `json:"workers"`
-	// IngestBuffers enables buffered upload ingestion with this many
-	// shards; uploads then fan out across Workers concurrent clients
-	// instead of one serial loop (0 = the direct serial path). Optional
-	// axis: omitted from the JSON and the cell ID when 0 so baselines
-	// from before the axis existed keep their IDs.
-	IngestBuffers int `json:"ingest_buffers,omitempty"`
 	// Profiles names the per-user privacy-profile mix uploaded with the
 	// rankings ("" = every user on the service defaults, "mixed" = the
 	// seeded 70/20/10 default / double-k / double-k+tight-area tier mix).
@@ -80,9 +73,6 @@ const MaxGOMAXPROCS = 256
 // ID renders the canonical cell key used in reports and diffs.
 func (p CellParams) ID() string {
 	id := fmt.Sprintf("n=%d/k=%d/churn=%g/workers=%d", p.N, p.K, p.ChurnFrac, p.Workers)
-	if p.IngestBuffers > 0 {
-		id += fmt.Sprintf("/ingest=%d", p.IngestBuffers)
-	}
 	if p.Profiles != "" {
 		id += fmt.Sprintf("/profiles=%s", p.Profiles)
 	}
@@ -105,9 +95,6 @@ func (p CellParams) Validate() error {
 	}
 	if p.Workers < 1 {
 		return fmt.Errorf("bench: workers %d < 1", p.Workers)
-	}
-	if p.IngestBuffers < 0 {
-		return fmt.Errorf("bench: ingest buffers %d < 0", p.IngestBuffers)
 	}
 	if p.Profiles != "" && p.Profiles != ProfileMixMixed {
 		return fmt.Errorf("bench: unknown profile mix %q", p.Profiles)
@@ -162,15 +149,11 @@ type Grid struct {
 	Ks          []int     `json:"ks"`
 	ChurnFracs  []float64 `json:"churn_fracs"`
 	Workers     []int     `json:"workers"`
-	// IngestBuffers is the optional fifth axis (buffered-ingestion shard
-	// counts; 0 = direct). Empty means [0], so grids from before the
-	// axis existed expand to the same cells.
-	IngestBuffers []int `json:"ingest_buffers,omitempty"`
-	// Profiles is the optional sixth axis (named privacy-profile mixes;
+	// Profiles is the optional fifth axis (named privacy-profile mixes;
 	// "" = all defaults). Empty means [""], so grids from before the
 	// axis existed expand to the same cells.
 	Profiles []string `json:"profiles,omitempty"`
-	// GOMAXPROCS is the optional seventh axis (runtime.GOMAXPROCS per
+	// GOMAXPROCS is the optional sixth axis (runtime.GOMAXPROCS per
 	// cell; 0 = the process setting). Empty means [0], so grids from
 	// before the axis existed expand to the same cells.
 	GOMAXPROCS []int `json:"gomaxprocs,omitempty"`
@@ -218,28 +201,6 @@ func TinyGrid() Grid {
 	}
 }
 
-// ContentionGrid is the buffered-ingestion A/B sweep: one mid-size
-// population under heavy churn, serial vs parallel uploaders, direct vs
-// buffered ingestion, with a Zipf(1.0) request mix — the cell variant
-// behind the contention-aware ingestion numbers. Kept separate from
-// DefaultGrid so the checked-in baseline's cell set is untouched.
-func ContentionGrid() Grid {
-	return Grid{
-		Populations:   []int{4000},
-		Ks:            []int{10},
-		ChurnFracs:    []float64{0.1},
-		Workers:       []int{1, 4},
-		IngestBuffers: []int{0, 4},
-		CellConfig: CellConfig{
-			Ticks:    4,
-			Requests: 2000,
-			Theta:    1.0,
-			Seed:     42,
-			Reps:     3,
-		},
-	}
-}
-
 // ProfilesGrid is the personalized-profile A/B sweep: one mid-size
 // population, all-default vs the mixed tier mix, serial vs parallel
 // serving. The default cells double as a drift check against the same
@@ -283,13 +244,9 @@ func (g Grid) Validate() error {
 }
 
 // Cells expands the grid into its cross product, in a fixed axis order
-// (population, k, churn, workers, ingest buffers, profiles, GOMAXPROCS)
-// so cell order — and thus report layout — is deterministic.
+// (population, k, churn, workers, profiles, GOMAXPROCS) so cell order —
+// and thus report layout — is deterministic.
 func (g Grid) Cells() []CellParams {
-	ingest := g.IngestBuffers
-	if len(ingest) == 0 {
-		ingest = []int{0}
-	}
 	profiles := g.Profiles
 	if len(profiles) == 0 {
 		profiles = []string{""}
@@ -303,12 +260,10 @@ func (g Grid) Cells() []CellParams {
 		for _, k := range g.Ks {
 			for _, cf := range g.ChurnFracs {
 				for _, w := range g.Workers {
-					for _, ib := range ingest {
-						for _, pm := range profiles {
-							for _, gp := range procs {
-								cells = append(cells, CellParams{N: n, K: k, ChurnFrac: cf, Workers: w,
-									IngestBuffers: ib, Profiles: pm, GOMAXPROCS: gp})
-							}
+					for _, pm := range profiles {
+						for _, gp := range procs {
+							cells = append(cells, CellParams{N: n, K: k, ChurnFrac: cf, Workers: w,
+								Profiles: pm, GOMAXPROCS: gp})
 						}
 					}
 				}
@@ -488,8 +443,7 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 	}
 	profs := ProfileMix(p.Profiles, p.N, p.K, delta, cfg.Seed)
 	em := metrics.NewEpochMetrics()
-	opts := []epoch.Option{epoch.WithK(p.K), epoch.WithWorkers(p.Workers),
-		epoch.WithIngestBuffers(p.IngestBuffers), epoch.WithMetrics(em)}
+	opts := []epoch.Option{epoch.WithK(p.K), epoch.WithWorkers(p.Workers), epoch.WithMetrics(em)}
 	if profs != nil {
 		// Degraded accounting needs cluster areas; the harness owns the
 		// positions (the pipeline never sees them), so it supplies the
@@ -511,67 +465,26 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 	defer mgr.Close()
 
 	ctx := context.Background()
-	uploadOne := func(g *wpg.Graph, v int32) error {
-		var peers []epoch.RankedPeer
-		for _, e := range g.Neighbors(v) {
-			peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
-		}
-		// Profiled cells restate each user's profile on every upload (zero
-		// for unprofiled users); profile-free cells send none at all, which
-		// keeps their request stream identical to the pre-profile one.
-		var prof *core.Profile
-		if profs != nil {
-			p := profs[v]
-			prof = &p
-		}
-		return mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers, Profile: prof})
-	}
-	// With ingest buffers on, uploads fan out across Workers concurrent
-	// clients — the contention the buffered path exists to absorb. Each
-	// user appears at most once per phase, so last-write-wins coalescing
-	// cannot race with itself and the reconciled state (and thus the
-	// deterministic half of the result) is schedule-independent.
 	uploadFrom := func(g *wpg.Graph, users []int32) error {
-		if p.IngestBuffers <= 0 || p.Workers < 2 {
-			for _, v := range users {
-				if err := uploadOne(g, v); err != nil {
-					return err
-				}
+		for _, v := range users {
+			var peers []epoch.RankedPeer
+			for _, e := range g.Neighbors(v) {
+				peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
 			}
-			return nil
-		}
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		per := len(users) / p.Workers
-		extra := len(users) % p.Workers
-		lo := 0
-		for w := 0; w < p.Workers; w++ {
-			count := per
-			if w < extra {
-				count++
+			// Profiled cells restate each user's profile on every upload
+			// (zero for unprofiled users); profile-free cells send none at
+			// all, which keeps their request stream identical to the
+			// pre-profile one.
+			var prof *core.Profile
+			if profs != nil {
+				p := profs[v]
+				prof = &p
 			}
-			slice := users[lo : lo+count]
-			lo += count
-			wg.Add(1)
-			go func(slice []int32) {
-				defer wg.Done()
-				for _, v := range slice {
-					if err := uploadOne(g, v); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}(slice)
+			if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers, Profile: prof}); err != nil {
+				return err
+			}
 		}
-		wg.Wait()
-		return firstErr
+		return nil
 	}
 
 	// Phase 1: cold build.

@@ -307,16 +307,13 @@ func (c *Coordinator) aliveOwnerLocked(user int32) int32 {
 	return o
 }
 
-// UploadRequest carries one proximity upload through the routing layer,
-// mirroring epoch.UploadRequest's struct shape. Peers may be empty (the
-// user then forms no edges) and Profile follows the sticky wire
+// UploadRequest carries one proximity upload through the routing layer.
+// It is the wire's upload entry, so an upload_batch entry passes through
+// unchanged and the ordered queues forward it as is. Peers may be empty
+// (the user then forms no edges) and Profile follows the sticky wire
 // semantics: nil keeps any stored profile, an explicit zero spec reverts
 // to the defaults.
-type UploadRequest struct {
-	User    int32
-	Peers   []service.PeerRank
-	Profile *service.ProfileSpec
-}
+type UploadRequest = service.UploadEntry
 
 // Upload stores the user's ranked peer list and enqueues it for the
 // user's current home shard. Validation is synchronous; delivery is
@@ -361,7 +358,7 @@ func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 		c.uploadsSince = 0
 	}
 	c.cm.ObserveRouted(string(service.OpUpload))
-	err := c.senders[shard].enqueue(batchItem{user: user, peers: stored, prof: storedProf})
+	err := c.senders[shard].enqueue(UploadRequest{User: user, Peers: stored, Profile: storedProf})
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -485,13 +482,13 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 		}
 		if !c.health[mv.to].isDead() {
 			c.cm.ObserveRouted(string(service.OpUpload))
-			if err := c.senders[mv.to].enqueue(batchItem{user: mv.user, peers: c.uploads[mv.user], prof: c.profileForLocked(mv.user)}); err != nil && enqErr == nil {
+			if err := c.senders[mv.to].enqueue(UploadRequest{User: mv.user, Peers: c.uploads[mv.user], Profile: c.profileForLocked(mv.user)}); err != nil && enqErr == nil {
 				enqErr = err
 			}
 		}
 		if mv.from >= 0 && !c.health[mv.from].isDead() {
 			c.cm.ObserveRouted(string(service.OpUpload))
-			if err := c.senders[mv.from].enqueue(batchItem{user: mv.user}); err != nil && enqErr == nil {
+			if err := c.senders[mv.from].enqueue(UploadRequest{User: mv.user}); err != nil && enqErr == nil {
 				enqErr = err
 			}
 		}
@@ -540,7 +537,10 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 
 	// Freeze the surviving shards in parallel. A shard whose input didn't
 	// change answers "no new uploads"; it keeps serving its previous
-	// epoch, which covers the same uploads — not an error, just lag.
+	// epoch, which covers the same uploads — not an error, just lag. Its
+	// freeze reply then carries no edge count, so the counts are summed
+	// from the epoch scrape below, with the freeze reply as the fallback
+	// for a shard that fails the scrape.
 	edges := make([]int, len(c.pools))
 	errs := make([]error, len(c.pools))
 	for i := range c.pools {
@@ -581,10 +581,12 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 			stats.DeadShards++
 		}
 	}
-	for _, n := range edges {
-		stats.Edges += n
+	for i, ep := range c.refreshShardEpochs() {
+		if ep != nil {
+			edges[i] = ep.Edges
+		}
+		stats.Edges += edges[i]
 	}
-	c.refreshShardEpochs()
 	return stats, nil
 }
 
@@ -721,12 +723,14 @@ func (c *Coordinator) ranksLocked(u, v int32) bool {
 }
 
 // refreshShardEpochs polls the live shards' epoch statuses into the
-// per-shard epoch gauges (best effort; a failed poll leaves the old
-// value). Polls fan out with a bounded worker set so one slow shard
-// never stalls the scrape behind it.
-func (c *Coordinator) refreshShardEpochs() {
+// per-shard epoch gauges and returns them by shard index (best effort:
+// a dead shard or a failed poll leaves its entry nil and its gauge at
+// the old value). Polls fan out with a bounded worker set so one slow
+// shard never stalls the scrape behind it.
+func (c *Coordinator) refreshShardEpochs() []*service.EpochPayload {
 	const maxConcurrentPolls = 8
 	sem := make(chan struct{}, maxConcurrentPolls)
+	out := make([]*service.EpochPayload, len(c.pools))
 	var wg sync.WaitGroup
 	for i := range c.pools {
 		if c.health[i].isDead() {
@@ -742,12 +746,14 @@ func (c *Coordinator) refreshShardEpochs() {
 				p, err := cl.EpochStatus()
 				if err == nil {
 					c.cm.SetShardEpoch(i, p.Epoch)
+					out[i] = p
 				}
 				return err
 			})
 		}(i)
 	}
 	wg.Wait()
+	return out
 }
 
 // EpochStatus aggregates the live shards' pipeline states into one
@@ -819,7 +825,6 @@ func (c *Coordinator) Stats(ctx context.Context) (*service.StatsPayload, error) 
 		p.Frozen = p.Frozen && sp.Frozen
 		p.Clusters += sp.Clusters
 		p.Edges += sp.Edges
-		p.PendingBuffered += sp.PendingBuffered
 		p.Profiled += sp.Profiled
 	}
 	c.mu.RLock()

@@ -273,6 +273,90 @@ func TestFourShardClusterMatchesSingleProcess(t *testing.T) {
 	compareAllUsers(t, n, k, ref, coord)
 }
 
+// TestRotateEdgesMatchServingEpochs pins a rotation's edge count to the
+// edges the shards actually serve. A shard with no new uploads answers
+// the freeze with "no new uploads" and keeps serving its previous
+// epoch, so its edges still count. After a full rotate, a rotate in
+// which only one shard had new uploads, and a rotate with none,
+// RotateStats.Edges must equal EpochStatus().Edges; so must the edge
+// count of a v0 freeze through the coordinator's listener.
+func TestRotateEdgesMatchServingEpochs(t *testing.T) {
+	n, k := 400, 4
+	pts := dataset.CaliforniaLike(n, 7)
+	keys, err := HilbertKeys(pts, DefaultKeyOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := startCluster(t, n, k, 2, keys, metrics.NewClusterMetrics())
+	lists := proximityLists(pts)
+	for u := int32(0); u < int32(n); u++ {
+		if err := coord.Upload(bg, UploadRequest{User: u, Peers: lists[u]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check compares a rotation's edge count with the shards' serving
+	// epochs, and returns the summed build count so a step can assert
+	// how many shards rebuilt.
+	check := func(step string, edges int) uint64 {
+		t.Helper()
+		ep, err := coord.EpochStatus(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep.Edges == 0 {
+			t.Fatalf("%s: shards serve no edges; the scenario is vacuous", step)
+		}
+		if edges != ep.Edges {
+			t.Fatalf("%s: rotation reported %d edges, the shards serve %d", step, edges, ep.Edges)
+		}
+		return ep.Builds
+	}
+	rotate := func(step string) uint64 {
+		t.Helper()
+		st, err := coord.Rotate(bg)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		return check(step, st.Edges)
+	}
+
+	if builds := rotate("full rotate"); builds != 2 {
+		t.Fatalf("full rotate: %d shard builds, want 2", builds)
+	}
+	// One user re-ranks its peers: same edges, so nobody is re-homed and
+	// only the user's home shard has a new upload.
+	var u int32
+	for len(lists[u]) < 2 {
+		u++
+	}
+	reranked := append([]service.PeerRank(nil), lists[u]...)
+	reranked[0].Rank, reranked[1].Rank = reranked[1].Rank, reranked[0].Rank
+	if err := coord.Upload(bg, UploadRequest{User: u, Peers: reranked}); err != nil {
+		t.Fatal(err)
+	}
+	if builds := rotate("one-shard rotate"); builds != 3 {
+		t.Fatalf("one-shard rotate: %d shard builds, want 3", builds)
+	}
+	if builds := rotate("no-op rotate"); builds != 3 {
+		t.Fatalf("no-op rotate: %d shard builds, want 3", builds)
+	}
+
+	addr, err := coord.Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := service.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	edges, err := cl.Freeze()
+	if err != nil {
+		t.Fatalf("v0 freeze: %v", err)
+	}
+	check("v0 freeze", edges)
+}
+
 // TestClusterProfilesSurviveRehoming pins that a personalized profile
 // follows its user across a border replay: the raised floor holds on
 // whichever shard ends up serving the component.

@@ -22,20 +22,14 @@ const (
 	maxBatchCeiling = 1024
 )
 
-// batchItem is one queued state-changing forward: an upload, a border
-// replay (same shape), or a tombstone (empty peers, nil profile).
-type batchItem struct {
-	user  int32
-	peers []service.PeerRank
-	prof  *service.ProfileSpec
-}
-
-// orderedSender drains one shard's ordered queue. Uploads enqueue under
-// the coordinator's routing lock — so queue order equals store order per
-// user — and a single goroutine sends them in upload_batch round trips
-// over the pool's dedicated ordered connection. One sender per shard,
-// one in-flight batch per sender: a user's writes reach the shard in
-// coordinator order, always.
+// orderedSender drains one shard's ordered queue of state-changing
+// forwards: uploads, border replays (same shape), and tombstones (empty
+// peers, nil profile). Uploads enqueue under the coordinator's routing
+// lock — so queue order equals store order per user — and a single
+// goroutine sends them in upload_batch round trips over the pool's
+// dedicated ordered connection. One sender per shard, one in-flight
+// batch per sender: a user's writes reach the shard in coordinator
+// order, always.
 //
 // Error handling depends on the failover mode:
 //   - failover enabled: a broken connection is retried forever with
@@ -60,7 +54,7 @@ type orderedSender struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled on enqueue and close
-	queue    []batchItem
+	queue    []service.UploadEntry
 	inflight bool
 	lastErr  error         // sticky until the next flush
 	drained  chan struct{} // closed when queue empties, then nil
@@ -90,7 +84,7 @@ func newOrderedSender(shard int, pool *shardPool, health *shardHealth, cm *metri
 
 // enqueue appends one item. Callers hold the coordinator's routing lock,
 // which is what makes queue order equal store order.
-func (s *orderedSender) enqueue(it batchItem) error {
+func (s *orderedSender) enqueue(it service.UploadEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -218,18 +212,17 @@ func (s *orderedSender) run() {
 		if n > s.max {
 			n = s.max
 		}
+		// Sent as is, without a copy: consumeLocked only re-slices and
+		// enqueue appends past len(s.queue), so nothing writes into the
+		// batch's elements while it is in flight.
 		batch := s.queue[:n:n]
 		s.inflight = true
 		s.mu.Unlock()
 
-		entries := make([]service.UploadEntry, n)
-		for i, it := range batch {
-			entries[i] = service.UploadEntry{User: it.user, Peers: it.peers, Profile: it.prof}
-		}
 		var accepted int
 		err := s.pool.ordered(func(cl *service.Client) error {
 			var err error
-			accepted, err = cl.UploadBatch(entries)
+			accepted, err = cl.UploadBatch(batch)
 			return err
 		})
 
@@ -245,7 +238,7 @@ func (s *orderedSender) run() {
 			// The shard answered: the prefix [0, accepted) is applied, entry
 			// `accepted` was rejected. Drop only the rejected entry, keep
 			// the tail in order, and hold the error for the next flush.
-			rejected := batch[min(accepted, n-1)].user
+			rejected := batch[min(accepted, n-1)].User
 			s.consumeLocked(min(accepted+1, n))
 			s.lastErr = fmt.Errorf("shard %d rejected upload for user %d: %w", s.shard, rejected, err)
 			s.health.markSuccess()

@@ -128,7 +128,7 @@ func (c *Coordinator) handle(ctx context.Context, req service.Request) (any, boo
 			return service.Response{Error: `upload_batch requires "v":1`}, false
 		}
 		for i, e := range req.Uploads {
-			if err := c.Upload(ctx, UploadRequest{User: e.User, Peers: e.Peers, Profile: e.Profile}); err != nil {
+			if err := c.Upload(ctx, e); err != nil {
 				env := service.Envelope{V: service.ProtocolVersion, Error: err.Error()}
 				env.Batch = &service.BatchPayload{Accepted: i}
 				return env, false

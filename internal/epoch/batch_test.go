@@ -95,51 +95,6 @@ func TestUploadBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestUploadBatchBuffered runs the batch through buffered ingestion:
-// the per-item path must reconcile to the same served state as direct
-// serial ingestion.
-func TestUploadBatchBuffered(t *testing.T) {
-	const n = 24
-	direct, err := New(n, WithK(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
-	buffered, err := New(n, WithK(2), WithIngestBuffers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer buffered.Close()
-
-	reqs := orderedRing(n)
-	for _, req := range reqs {
-		if err := direct.Upload(bg, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if applied, err := buffered.UploadBatch(bg, reqs); err != nil || applied != len(reqs) {
-		t.Fatalf("buffered UploadBatch = %d, %v", applied, err)
-	}
-	for _, m := range []*Manager{direct, buffered} {
-		if _, err := m.Rotate(bg); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Sync(bg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for u := int32(0); u < int32(n); u++ {
-		dr, derr := direct.Cloak(bg, u)
-		br, berr := buffered.Cloak(bg, u)
-		if (derr == nil) != (berr == nil) {
-			t.Fatalf("user %d: direct err=%v buffered err=%v", u, derr, berr)
-		}
-		if derr == nil && len(dr.Cluster.Members) != len(br.Cluster.Members) {
-			t.Fatalf("user %d: direct members=%v buffered members=%v", u, dr.Cluster.Members, br.Cluster.Members)
-		}
-	}
-}
-
 // TestUploadBatchPartialFailure pins the prefix semantics: entries
 // apply in order up to the first invalid one; the return counts the
 // durably applied prefix and nothing after the failure is attempted.

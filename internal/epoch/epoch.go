@@ -127,11 +127,10 @@ type ClusterInfo struct {
 }
 
 // Policy decides when a new epoch is triggered. The count and frac
-// conditions are checked after every accepted upload (direct path) or
-// at every reconcile point (buffered ingestion); a zero value disables
-// that condition. The zero Policy never auto-triggers — only explicit
-// Rotate calls start rebuilds, which reproduces the legacy freeze-once
-// lifecycle.
+// conditions are checked after every accepted upload; a zero value
+// disables that condition. The zero Policy never auto-triggers — only
+// explicit Rotate calls start rebuilds, which reproduces the legacy
+// freeze-once lifecycle.
 type Policy struct {
 	// EveryUploads triggers after this many accepted uploads since the
 	// previous trigger.
@@ -141,10 +140,10 @@ type Policy struct {
 	// value (0 < ChangedFrac <= 1).
 	ChangedFrac float64
 	// MaxStaleness bounds how long accepted uploads may wait without any
-	// trigger firing: a background timer reconciles the ingest buffers
-	// and rotates once uploads have been pending that long (0 disables
-	// the timer). Timer-driven triggers carry wall-clock placement, so
-	// deterministic-transcript harnesses leave this at 0.
+	// trigger firing: a background timer rotates once uploads have been
+	// pending that long (0 disables the timer). Timer-driven triggers
+	// carry wall-clock placement, so deterministic-transcript harnesses
+	// leave this at 0.
 	MaxStaleness time.Duration
 }
 
@@ -286,38 +285,20 @@ var (
 // draining a serial queue, and Cloak reads the published generation
 // through an atomic pointer without taking any lock.
 type Manager struct {
-	numUsers      int
-	k             int
-	workers       int
-	policy        Policy
-	histCap       int
-	incremental   bool
-	ingestBuffers int
-	ingestCap     int
-	em            *metrics.EpochMetrics
-	tr            *trace.Recorder
-	areaEst       func(members []int32) (float64, bool)
+	numUsers    int
+	k           int
+	workers     int
+	policy      Policy
+	histCap     int
+	incremental bool
+	em          *metrics.EpochMetrics
+	tr          *trace.Recorder
+	areaEst     func(members []int32) (float64, bool)
 
 	// sem is a one-slot semaphore serving as the manager lock; a
 	// channel rather than a sync.Mutex so Upload/Rotate/Sync can honor
 	// context cancellation while waiting for it (lockCtx).
 	sem chan struct{}
-
-	// shards are the ingest buffers (nil = direct ingestion); see
-	// ingest.go. pendingBuf counts buffered-but-unreconciled uploads,
-	// reconcileAt is the pending count at which an uploader reconciles
-	// (0 = never count-driven), and closedFlag mirrors closed for the
-	// buffered fast path, which must not take the manager lock.
-	shards      []ingestShard
-	pendingBuf  atomic.Int64
-	reconcileAt atomic.Int64
-	closedFlag  atomic.Bool
-	// pendingStale is the smallest MaxStaleness carried by any buffered,
-	// not-yet-reconciled profile (nanoseconds; 0 = none). It keeps
-	// effectiveStaleLocked honest while such a profile is invisible in
-	// the profiles map; reconcileLocked clears it once the buffers drain.
-	pendingStale  atomic.Int64
-	stalenessStop chan struct{}
 
 	// All fields below are guarded by sem.
 	uploads map[int32][]RankedPeer
@@ -350,6 +331,9 @@ type Manager struct {
 	// creation before the first one) — observability for the staleness
 	// timer only, never part of the transcript.
 	lastTrigger time.Time
+	// stalenessStop is non-nil while the staleness timer goroutine runs;
+	// closing it stops the loop.
+	stalenessStop chan struct{}
 
 	// prev carries the last successful build's graph, components, and
 	// per-shard clustering forward for splicing. Owned by the builder:
@@ -450,7 +434,6 @@ func New(numUsers int, opts ...Option) (*Manager, error) {
 		k:           10,
 		histCap:     128,
 		incremental: true,
-		ingestCap:   DefaultIngestCapacity,
 		uploads:     make(map[int32][]RankedPeer),
 		changed:     make(map[int32]struct{}),
 		dirty:       make(map[int32]struct{}),
@@ -474,17 +457,6 @@ func New(numUsers int, opts ...Option) (*Manager, error) {
 	if m.histCap < 1 {
 		m.histCap = 1
 	}
-	if m.ingestBuffers > 0 {
-		if m.ingestCap < 1 {
-			return nil, fmt.Errorf("epoch: ingest capacity %d < 1", m.ingestCap)
-		}
-		m.shards = make([]ingestShard, m.ingestBuffers)
-		for i := range m.shards {
-			m.shards[i].slots = make(chan struct{}, m.ingestCap)
-			m.shards[i].entries = make(map[int32]*bufEntry)
-		}
-		m.updateReconcileAtLocked() // no concurrency before New returns
-	}
 	if m.policy.MaxStaleness > 0 {
 		m.startStalenessLocked() // no concurrency before New returns
 	}
@@ -493,11 +465,10 @@ func New(numUsers int, opts ...Option) (*Manager, error) {
 
 // startStalenessLocked launches the staleness timer goroutine if it is
 // not already running. Callers hold the manager lock (or are inside
-// New). The timer also starts lazily when the first profile carrying a
-// MaxStaleness bound arrives — via setProfileLocked on the direct path,
-// via uploadBuffered on the buffered one — on a manager whose policy
-// alone never needed it, and stops itself once the effective bound
-// drops back to zero.
+// New). The timer also starts lazily, via setProfileLocked, when the
+// first profile carrying a MaxStaleness bound arrives on a manager whose
+// policy alone never needed it, and stops itself once the effective
+// bound drops back to zero.
 func (m *Manager) startStalenessLocked() {
 	if m.stalenessStop != nil || m.closed {
 		return
@@ -507,10 +478,9 @@ func (m *Manager) startStalenessLocked() {
 }
 
 // effectiveStaleLocked resolves the pipeline's staleness bound: the
-// minimum over the policy's MaxStaleness, every stored profile's, and
-// the buffered-profile hint (0 entries mean unset). Callers hold the
-// manager lock. O(profiled users), which the non-default-only profiles
-// map keeps small.
+// minimum over the policy's MaxStaleness and every stored profile's (0
+// entries mean unset). Callers hold the manager lock. O(profiled
+// users), which the non-default-only profiles map keeps small.
 func (m *Manager) effectiveStaleLocked() time.Duration {
 	bound := m.policy.MaxStaleness
 	for _, p := range m.profiles {
@@ -518,10 +488,61 @@ func (m *Manager) effectiveStaleLocked() time.Duration {
 			bound = p.MaxStaleness
 		}
 	}
-	if h := time.Duration(m.pendingStale.Load()); h > 0 && (bound == 0 || h < bound) {
-		bound = h
-	}
 	return bound
+}
+
+// stalenessLoop is the max-staleness timer: it periodically triggers a
+// rebuild when uploads have been waiting longer than the effective
+// bound allows without any other trigger firing. The bound is
+// re-resolved every iteration — the minimum over the policy's
+// MaxStaleness and every stored profile's — so a newly uploaded tighter
+// profile takes effect on the next tick. When the bound drops to 0
+// (policy unset and every staleness-bearing profile withdrawn) the loop
+// stops instead of polling an idle manager forever; setProfileLocked
+// restarts it lazily, and both run under the manager lock, so a bound
+// appearing while the loop decides to stop is either visible to it or
+// restarts a fresh loop after it exits. It also exits when the manager
+// closes.
+func (m *Manager) stalenessLoop() {
+	// One reused timer for the life of the loop. time.After would
+	// allocate a fresh timer (and its runtime bookkeeping) every
+	// iteration, which an idle manager with a short bound turns into
+	// steady garbage; Reset on a drained timer is free.
+	timer := time.NewTimer(time.Hour)
+	if !timer.Stop() {
+		<-timer.C
+	}
+	for {
+		m.lock()
+		if m.closed {
+			m.unlock()
+			return
+		}
+		bound := m.effectiveStaleLocked()
+		if bound == 0 {
+			m.stalenessStop = nil
+			m.unlock()
+			return
+		}
+		if m.uploadsSince > 0 && time.Since(m.lastTrigger) >= bound {
+			m.triggerLocked(TriggerStale)
+		}
+		stop := m.stalenessStop
+		m.unlock()
+		interval := bound / 2
+		if interval < time.Millisecond {
+			interval = time.Millisecond
+		}
+		timer.Reset(interval)
+		select {
+		case <-stop:
+			if !timer.Stop() {
+				<-timer.C
+			}
+			return
+		case <-timer.C:
+		}
+	}
 }
 
 // profileOfLocked returns the user's stored profile (zero = defaults).
@@ -598,9 +619,6 @@ func (m *Manager) Upload(ctx context.Context, req UploadRequest) error {
 		v := *req.Profile
 		prof = &v
 	}
-	if len(m.shards) > 0 {
-		return m.uploadBuffered(ctx, req.User, cp, prof)
-	}
 	if err := m.lockCtx(ctx); err != nil {
 		return err
 	}
@@ -649,19 +667,9 @@ func (m *Manager) applyUploadLocked(user int32, cp []RankedPeer, prof *core.Prof
 // The result is indistinguishable from calling Upload serially — the
 // rebuild policy is evaluated after every entry, so a mid-batch trigger
 // snapshots exactly the prefix a serial caller would have triggered
-// on — but the direct path takes the manager lock once for the whole
-// batch instead of once per upload. With ingest buffers configured the
-// entries ride the buffered path one by one, which never takes the
-// manager lock at all.
+// on — but the manager lock is taken once for the whole batch instead
+// of once per upload.
 func (m *Manager) UploadBatch(ctx context.Context, reqs []UploadRequest) (int, error) {
-	if len(m.shards) > 0 {
-		for i := range reqs {
-			if err := m.Upload(ctx, reqs[i]); err != nil {
-				return i, err
-			}
-		}
-		return len(reqs), nil
-	}
 	if err := m.lockCtx(ctx); err != nil {
 		return 0, err
 	}
@@ -726,7 +734,6 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 	m.changed = make(map[int32]struct{})
 	m.dirty = make(map[int32]struct{})
 	m.lastTrigger = time.Now()
-	m.updateReconcileAtLocked()
 	if !m.building {
 		m.idle = make(chan struct{}) // leaving the idle state
 	}
@@ -790,7 +797,6 @@ func (m *Manager) rotate(ctx context.Context) (*Generation, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	m.reconcileLocked(ctx)
 	if m.nextEpoch > 0 && m.uploadsSince == 0 {
 		return nil, ErrNoNewUploads
 	}
@@ -1223,13 +1229,6 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	// Order matters: the flag stops new buffered inserts before the final
-	// drain folds what is already buffered into the upload state, so a
-	// clean Close never silently drops an accepted upload (its effect
-	// remains visible through Status and the next manager's seed even
-	// though no further epoch will build it).
-	m.closedFlag.Store(true)
-	m.reconcileLocked(context.Background())
 	if m.stalenessStop != nil {
 		close(m.stalenessStop)
 	}
@@ -1289,8 +1288,6 @@ type Status struct {
 	SinceTrigger        int    // uploads since the last trigger
 	ChangedSinceTrigger int    // distinct users changed since the last trigger
 	Pending             int    // triggered epochs not yet published
-	PendingBuffered     int    // buffered uploads not yet reconciled
-	IngestBuffers       int    // configured ingest shard count (0 = direct)
 	Builds              uint64
 	Swaps               uint64
 	LastBuildDuration   time.Duration
@@ -1310,8 +1307,6 @@ func (m *Manager) Status() Status {
 		SinceTrigger:        m.uploadsSince,
 		ChangedSinceTrigger: len(m.changed),
 		Pending:             len(m.queue),
-		PendingBuffered:     int(m.pendingBuf.Load()),
-		IngestBuffers:       m.ingestBuffers,
 		Builds:              m.builds,
 		Swaps:               m.swaps,
 		LastBuildDuration:   m.lastBuildDur,

@@ -52,14 +52,6 @@ type EpochMetrics struct {
 	buildDur      LatencyHistogram
 	lastSwapNs    atomic.Int64 // unix nanos of the latest publish, 0 = never
 
-	// Buffered-ingestion counters (all zero when ingest buffers are off).
-	buffered        atomic.Uint64 // uploads absorbed into an ingest buffer
-	coalesced       atomic.Uint64 // of those, last-write-wins merges into an existing entry
-	reconciles      atomic.Uint64 // non-empty reconcile drains
-	reconciled      atomic.Uint64 // raw uploads drained by reconciles
-	pendingBuffered atomic.Int64  // buffered uploads not yet reconciled
-	reconcileDur    LatencyHistogram
-
 	// Profile gauges (both zero while every user runs the default
 	// profile): the latest published generation's profiled-user and
 	// degraded-user counts.
@@ -168,43 +160,6 @@ func (m *EpochMetrics) SetPending(n int) {
 	m.pending.Store(int64(n))
 }
 
-// ObserveBufferedUpload folds in one upload absorbed by an ingest
-// buffer; coalesced reports whether it merged into an existing entry
-// (last-write-wins) rather than creating one. Safe on a nil receiver.
-func (m *EpochMetrics) ObserveBufferedUpload(coalesced bool) {
-	if m == nil {
-		return
-	}
-	m.buffered.Add(1)
-	if coalesced {
-		m.coalesced.Add(1)
-	}
-}
-
-// ObserveReconcile folds in one non-empty reconcile drain: its
-// duration, the raw uploads drained, and how many of those had been
-// coalesced away (uploads minus distinct users applied — the coalesced
-// counter itself is maintained at insert time). Safe on a nil receiver.
-func (m *EpochMetrics) ObserveReconcile(d time.Duration, uploads, _ int) {
-	if m == nil {
-		return
-	}
-	m.reconciles.Add(1)
-	if uploads > 0 {
-		m.reconciled.Add(uint64(uploads))
-	}
-	m.reconcileDur.Observe(d)
-}
-
-// SetPendingBuffered records the current count of buffered uploads not
-// yet reconciled. Safe on a nil receiver.
-func (m *EpochMetrics) SetPendingBuffered(n int64) {
-	if m == nil {
-		return
-	}
-	m.pendingBuffered.Store(n)
-}
-
 // Staleness is the gauge for "how old is what we are serving": the time
 // since the last generation swap, or 0 when nothing was ever published.
 func (m *EpochMetrics) Staleness() time.Duration {
@@ -242,25 +197,12 @@ type EpochSnapshot struct {
 	BuildP50      time.Duration
 	BuildP95      time.Duration
 	Staleness     time.Duration
-	// Buffered-ingestion counters (all zero when ingest buffers are
-	// off): uploads absorbed into buffers, last-write-wins merges,
-	// non-empty reconcile drains, raw uploads drained, and the current
-	// unreconciled backlog.
-	Buffered        uint64
-	Coalesced       uint64
-	Reconciles      uint64
-	Reconciled      uint64
-	PendingBuffered int64
-	ReconcileP50    time.Duration
-	ReconcileP95    time.Duration
 	// Profiled and Degraded are the latest generation's profile gauges
 	// (both zero while every user runs the default profile).
 	Profiled int64
 	Degraded int64
 	// BuildHist is the raw rebuild-duration histogram for exporters.
 	BuildHist HistogramSnapshot
-	// ReconcileHist is the raw reconcile-drain-duration histogram.
-	ReconcileHist HistogramSnapshot
 	// BuildStages breaks rebuild time down per stage, in pipeline order
 	// (queue wait, WPG construction, clustering, publish).
 	BuildStages []StageSnapshot
@@ -272,29 +214,20 @@ func (m *EpochMetrics) Snapshot() EpochSnapshot {
 		return EpochSnapshot{}
 	}
 	hist := m.buildDur.Snapshot()
-	rhist := m.reconcileDur.Snapshot()
 	s := EpochSnapshot{
-		Builds:          m.builds.Load(),
-		BuildFails:      m.buildFails.Load(),
-		Swaps:           m.swaps.Load(),
-		Pending:         int(m.pending.Load()),
-		ShardsTotal:     m.shardsTotal.Load(),
-		ShardsRebuilt:   m.shardsRebuilt.Load(),
-		BuildMean:       m.buildDur.Mean(),
-		BuildP50:        quantileOf(hist.Counts, hist.Total, 0.50),
-		BuildP95:        quantileOf(hist.Counts, hist.Total, 0.95),
-		Staleness:       m.Staleness(),
-		Buffered:        m.buffered.Load(),
-		Coalesced:       m.coalesced.Load(),
-		Reconciles:      m.reconciles.Load(),
-		Reconciled:      m.reconciled.Load(),
-		PendingBuffered: m.pendingBuffered.Load(),
-		ReconcileP50:    quantileOf(rhist.Counts, rhist.Total, 0.50),
-		ReconcileP95:    quantileOf(rhist.Counts, rhist.Total, 0.95),
-		Profiled:        m.profiled.Load(),
-		Degraded:        m.degraded.Load(),
-		BuildHist:       hist,
-		ReconcileHist:   rhist,
+		Builds:        m.builds.Load(),
+		BuildFails:    m.buildFails.Load(),
+		Swaps:         m.swaps.Load(),
+		Pending:       int(m.pending.Load()),
+		ShardsTotal:   m.shardsTotal.Load(),
+		ShardsRebuilt: m.shardsRebuilt.Load(),
+		BuildMean:     m.buildDur.Mean(),
+		BuildP50:      quantileOf(hist.Counts, hist.Total, 0.50),
+		BuildP95:      quantileOf(hist.Counts, hist.Total, 0.95),
+		Staleness:     m.Staleness(),
+		Profiled:      m.profiled.Load(),
+		Degraded:      m.degraded.Load(),
+		BuildHist:     hist,
 	}
 	m.stageMu.Lock()
 	for stage, agg := range m.stages {
@@ -325,10 +258,6 @@ func (m *EpochMetrics) Snapshot() EpochSnapshot {
 func (s EpochSnapshot) String() string {
 	out := fmt.Sprintf("builds=%d fails=%d swaps=%d pending=%d shards=%d/%d build_p50=%v build_p95=%v staleness=%v",
 		s.Builds, s.BuildFails, s.Swaps, s.Pending, s.ShardsRebuilt, s.ShardsTotal, s.BuildP50, s.BuildP95, s.Staleness)
-	if s.Buffered > 0 {
-		out += fmt.Sprintf(" ingest=%d coalesced=%d reconciles=%d pending_buf=%d reconcile_p95=%v",
-			s.Buffered, s.Coalesced, s.Reconciles, s.PendingBuffered, s.ReconcileP95)
-	}
 	if s.Profiled > 0 {
 		out += fmt.Sprintf(" profiled=%d degraded=%d", s.Profiled, s.Degraded)
 	}

@@ -132,10 +132,6 @@ type StatsPayload struct {
 	Epoch    uint64 `json:"epoch"`
 	Clusters int    `json:"clusters"`
 	Edges    int    `json:"edges"`
-	// PendingBuffered is the count of uploads absorbed by the ingest
-	// buffers but not yet reconciled into the rebuild input (always 0
-	// without -ingest-buffers).
-	PendingBuffered int `json:"pending_buffered"`
 	// Profiled counts users whose stored privacy profile is non-default
 	// (omitted while every user runs the defaults).
 	Profiled int `json:"profiled,omitempty"`
@@ -185,19 +181,18 @@ func epochPayload(st epoch.Status) *EpochPayload {
 // statsPayload renders server state plus request metrics.
 func statsPayload(st epoch.Status, snap metrics.RequestSnapshot) *StatsPayload {
 	p := &StatsPayload{
-		Users:           st.Users,
-		Uploads:         st.Uploads,
-		Frozen:          st.Published,
-		Epoch:           st.Epoch,
-		Clusters:        st.Clusters,
-		Edges:           st.Edges,
-		PendingBuffered: st.PendingBuffered,
-		Profiled:        st.Profiled,
-		Requests:        snap.Total,
-		ReqErrors:       snap.Errors,
-		LatP50us:        float64(snap.P50) / float64(time.Microsecond),
-		LatP95us:        float64(snap.P95) / float64(time.Microsecond),
-		LatP99us:        float64(snap.P99) / float64(time.Microsecond),
+		Users:     st.Users,
+		Uploads:   st.Uploads,
+		Frozen:    st.Published,
+		Epoch:     st.Epoch,
+		Clusters:  st.Clusters,
+		Edges:     st.Edges,
+		Profiled:  st.Profiled,
+		Requests:  snap.Total,
+		ReqErrors: snap.Errors,
+		LatP50us:  float64(snap.P50) / float64(time.Microsecond),
+		LatP95us:  float64(snap.P95) / float64(time.Microsecond),
+		LatP99us:  float64(snap.P99) / float64(time.Microsecond),
 	}
 	if len(snap.Ops) > 0 {
 		p.OpCounts = make(map[string]uint64, len(snap.Ops))

@@ -61,8 +61,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  bench run [-grid tiny|default|contention] [-pops a,b] [-ks a,b] [-churns a,b]
-            [-workers a,b] [-ingest a,b] [-profiles a,b] [-gomaxprocs a,b] [-reps n]
+  bench run [-grid tiny|default|profiles] [-pops a,b] [-ks a,b] [-churns a,b]
+            [-workers a,b] [-profiles a,b] [-gomaxprocs a,b] [-reps n]
             [-ticks n] [-requests n]
             [-theta f] [-seed n] [-rev r] [-out dir]
   bench validate <report.json>
@@ -73,12 +73,11 @@ func usage() {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		gridName = fs.String("grid", "default", "base grid: default|tiny|contention|profiles")
+		gridName = fs.String("grid", "default", "base grid: default|tiny|profiles")
 		pops     = fs.String("pops", "", "comma-separated population axis override")
 		ks       = fs.String("ks", "", "comma-separated k axis override")
 		churns   = fs.String("churns", "", "comma-separated churn-fraction axis override")
 		workers  = fs.String("workers", "", "comma-separated worker axis override")
-		ingest   = fs.String("ingest", "", "comma-separated ingest-buffer axis override (0 = direct)")
 		profiles = fs.String("profiles", "", "comma-separated profile-mix axis override (empty value = all defaults)")
 		procs    = fs.String("gomaxprocs", "", "comma-separated GOMAXPROCS axis override (0 = the process setting)")
 		reps     = fs.Int("reps", 0, "repetitions per cell (0 = grid default)")
@@ -102,12 +101,10 @@ func cmdRun(args []string) error {
 		g = bench.DefaultGrid()
 	case "tiny":
 		g = bench.TinyGrid()
-	case "contention":
-		g = bench.ContentionGrid()
 	case "profiles":
 		g = bench.ProfilesGrid()
 	default:
-		return fmt.Errorf("-grid must be default, tiny, contention, or profiles, got %q", *gridName)
+		return fmt.Errorf("-grid must be default, tiny, or profiles, got %q", *gridName)
 	}
 	var err error
 	if g.Populations, err = overrideInts(g.Populations, *pops); err != nil {
@@ -121,9 +118,6 @@ func cmdRun(args []string) error {
 	}
 	if g.Workers, err = overrideInts(g.Workers, *workers); err != nil {
 		return fmt.Errorf("-workers: %w", err)
-	}
-	if g.IngestBuffers, err = overrideInts(g.IngestBuffers, *ingest); err != nil {
-		return fmt.Errorf("-ingest: %w", err)
 	}
 	if *profiles != "" {
 		g.Profiles = strings.Split(*profiles, ",")
