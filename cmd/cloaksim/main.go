@@ -900,8 +900,8 @@ func runCluster(cfg simConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cluster: epoch %d live in %v (%d components, %d edges, %d border replays)\n",
-		st.Epoch, time.Since(t0).Round(time.Millisecond), st.Components, st.Edges, st.Moves)
+	fmt.Printf("cluster: epoch %d live in %v (%d edges, straddling=%d, %d border replays)\n",
+		st.Epoch, time.Since(t0).Round(time.Millisecond), st.Edges, st.Straddling, st.Moves)
 
 	// Crash drill: kill one shard after the first epoch is live. The rest
 	// of the run must degrade to retries, never hard failures, and end

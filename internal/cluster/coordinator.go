@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"nonexposure/internal/graph"
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/service"
 )
@@ -24,11 +23,12 @@ import (
 // order into population-balanced runs, and fresh uploads land there —
 // locality-preserving, so most proximity edges stay shard-local. The
 // dynamic layer repairs the edges that don't: at every Rotate the
-// coordinator recomputes the WPG's connected components over all stored
-// uploads (mutual-edge rule, Def. 3.2) and homes each component on the
-// key-owner shard of its minimum-(key, id) member. Members stored
-// elsewhere are replayed to the home shard and tombstoned (empty peer
-// list) at their former one. Theorem 4.4 — clustering never crosses a
+// coordinator homes each WPG connected component over the stored
+// uploads (mutual-edge rule, Def. 3.2) on the key-owner shard of its
+// minimum-(key, id) member, walking only the components that straddle
+// a key-owner boundary (see rehomeLocked). Members stored elsewhere are
+// replayed to the home shard and tombstoned (empty peer list) at their
+// former one. Theorem 4.4 — clustering never crosses a
 // component boundary — then gives exact equivalence: every shard sees
 // each of its homed components in full, so per-shard clustering produces
 // bit-identical clusters to a single process, and no border user is ever
@@ -70,12 +70,26 @@ type Coordinator struct {
 	// phase so a concurrent upload can never interleave between a
 	// member's replay and its tombstone — enqueueing under mu keeps the
 	// per-shard queue order identical to the store order.
-	mu             sync.RWMutex
-	uploads        map[int32][]service.PeerRank
-	profiles       map[int32]service.ProfileSpec
-	serving        []int32 // current home shard; -1 = never uploaded
-	uploadsSince   int
-	componentCount int // components seen by the last rehome
+	mu           sync.RWMutex
+	uploads      map[int32][]service.PeerRank
+	profiles     map[int32]service.ProfileSpec
+	serving      []int32 // current home shard; -1 = never uploaded
+	uploadsSince int
+
+	// Rehome state, under mu (see rehomeLocked). touched flags the users
+	// uploaded since the last rehome, touchedList lists them. cross
+	// holds the cross edges (mutual edges whose endpoints have different
+	// key owners) as incidence lists of the boundary users only. stamp,
+	// home and walk are the component walk's reused scratch: a user
+	// whose stamp equals stampGen was walked by the last rehome, and
+	// home is then its component's home shard.
+	touched     []bool
+	touchedList []int32
+	cross       map[int32][]int32
+	stamp       []uint32
+	stampGen    uint32
+	home        []int32
+	walk        []int32
 
 	rotateMu sync.Mutex
 	epoch    uint64 // completed cluster rotations, under rotateMu
@@ -190,6 +204,7 @@ func New(opts ...Option) (*Coordinator, error) {
 		conns:    make(map[net.Conn]struct{}),
 		uploads:  make(map[int32][]service.PeerRank),
 		profiles: make(map[int32]service.ProfileSpec),
+		cross:    make(map[int32][]int32),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -249,6 +264,9 @@ func New(opts ...Option) (*Coordinator, error) {
 	for i := range c.serving {
 		c.serving[i] = -1
 	}
+	c.touched = make([]bool, c.numUsers)
+	c.stamp = make([]uint32, c.numUsers)
+	c.home = make([]int32, c.numUsers)
 	if len(c.dialOpts) == 0 {
 		c.dialOpts = []service.DialOption{service.WithOpTimeout(service.DefaultOpTimeout)}
 	}
@@ -296,7 +314,12 @@ func (c *Coordinator) shardForLocked(user int32) int32 {
 // shard is dead — the next alive shard in ring order. Deterministic, so
 // routing and re-homing always agree on the stand-in.
 func (c *Coordinator) aliveOwnerLocked(user int32) int32 {
-	o := c.keyOwner[user]
+	return c.standInLocked(c.keyOwner[user])
+}
+
+// standInLocked is shard o if it is alive, else the next alive shard in
+// ring order.
+func (c *Coordinator) standInLocked(o int32) int32 {
 	n := int32(len(c.pools))
 	for d := int32(0); d < n; d++ {
 		cand := (o + d) % n
@@ -350,6 +373,10 @@ func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 	}
 	if c.serving[user] < 0 {
 		c.serving[user] = c.aliveOwnerLocked(user)
+	}
+	if !c.touched[user] {
+		c.touched[user] = true
+		c.touchedList = append(c.touchedList, user)
 	}
 	shard := c.serving[user]
 	c.uploadsSince++
@@ -441,7 +468,7 @@ func (c *Coordinator) Cloak(ctx context.Context, user int32) (*service.CloakPayl
 // RotateStats summarizes one cluster-wide rotation.
 type RotateStats struct {
 	Epoch      uint64 // completed cluster rotations
-	Components int    // WPG connected components with >= 1 upload
+	Straddling int    // users in WPG components spanning two or more key owners
 	Moves      int    // users re-homed (border replays sent)
 	Edges      int    // mutual edges across all shards after the rotate
 	FailedOver int    // users re-homed off shards declared dead
@@ -461,6 +488,13 @@ type RotateStats struct {
 // to flush or freeze is marked failing and skipped instead of failing
 // the rotation.
 func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
+	st, _, err := c.rotate(ctx)
+	return st, err
+}
+
+// rotate is Rotate, also returning the live shards' epoch payloads as
+// scraped after the freeze (nil for a dead shard or a failed scrape).
+func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.EpochPayload, error) {
 	c.rotateMu.Lock()
 	defer c.rotateMu.Unlock()
 
@@ -469,7 +503,7 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 	now := time.Now()
 	c.mu.Lock()
 	c.declareDeadLocked(now)
-	moves := c.rehomeLocked()
+	moves, straddling := c.rehomeLocked()
 	// Replays and tombstones flush through the same ordered queues as
 	// uploads, while still holding c.mu: a concurrent Upload for a moved
 	// user must observe the new home (and order after the replay in the
@@ -493,14 +527,13 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 			}
 		}
 	}
-	components := c.componentCount
 	c.uploadsSince = 0
 	c.mu.Unlock()
 
 	c.cm.ObserveBorderReplays(len(moves))
 	c.cm.ObserveReroutes(len(moves))
 	if enqErr != nil {
-		return RotateStats{}, fmt.Errorf("cluster: rotate: %w", enqErr)
+		return RotateStats{}, nil, fmt.Errorf("cluster: rotate: %w", enqErr)
 	}
 
 	// Flush every live shard's queue in parallel, bounded: a shard that
@@ -532,7 +565,7 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 			skip[i] = true
 			continue
 		}
-		return RotateStats{}, fmt.Errorf("cluster: rotate: flush shard %d: %w", i, err)
+		return RotateStats{}, nil, fmt.Errorf("cluster: rotate: flush shard %d: %w", i, err)
 	}
 
 	// Freeze the surviving shards in parallel. A shard whose input didn't
@@ -570,24 +603,25 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 			c.health[i].markFailure()
 			continue
 		}
-		return RotateStats{}, fmt.Errorf("cluster: rotate shard %d: %w", i, err)
+		return RotateStats{}, nil, fmt.Errorf("cluster: rotate shard %d: %w", i, err)
 	}
 
 	c.epoch++
 	c.cm.ObserveRotation()
-	stats := RotateStats{Epoch: c.epoch, Components: components, Moves: len(moves), FailedOver: failedOver}
+	stats := RotateStats{Epoch: c.epoch, Straddling: straddling, Moves: len(moves), FailedOver: failedOver}
 	for i := range c.health {
 		if c.health[i].isDead() {
 			stats.DeadShards++
 		}
 	}
-	for i, ep := range c.refreshShardEpochs() {
+	scraped := c.refreshShardEpochs()
+	for i, ep := range scraped {
 		if ep != nil {
 			edges[i] = ep.Edges
 		}
 		stats.Edges += edges[i]
 	}
-	return stats, nil
+	return stats, scraped, nil
 }
 
 // flushTimeout bounds one rotation's wait for a shard queue to drain.
@@ -662,54 +696,122 @@ type move struct {
 	from, to int32
 }
 
-// rehomeLocked recomputes WPG connected components over the stored
-// uploads and re-homes every uploaded user onto its component's home
-// shard. Components are formed by the mutual-edge rule: an edge (u,v)
-// exists iff u ranks v and v ranks u. The home is the key-owner shard of
-// the component's minimum-(key, id) member — deterministic, and biased
-// toward where most of the component's uploads already live when keys
-// are locality-preserving. Dead shards are never homes: their
-// components land on the next alive shard in ring order. Returns the
-// users that moved, sorted by id.
-func (c *Coordinator) rehomeLocked() []move {
-	uf := graph.NewUnionFind(c.numUsers)
-	for u, peers := range c.uploads {
-		for _, pr := range peers {
-			v := pr.Peer
-			if v <= u {
-				continue // each unordered pair once; v==u never forms an edge
-			}
-			if c.ranksLocked(v, u) {
-				uf.Union(u, v)
-			}
-		}
+// rehomeLocked re-homes every uploaded user onto its WPG component's
+// home shard. Components are formed by the mutual-edge rule: an edge
+// (u,v) exists iff u ranks v and v ranks u. The home is the key-owner
+// shard of the component's minimum-(key, id) member — deterministic,
+// and biased toward where most of the component's uploads already live
+// when keys are locality-preserving. Dead shards are never homes: their
+// components land on the next alive shard in ring order.
+//
+// Only a straddling component — one holding a cross edge, a mutual edge
+// between users with different key owners — can home a member anywhere
+// but its own alive owner: in any other component every member, the
+// minimum included, has the same key owner. So instead of partitioning
+// every stored upload, the rehome re-derives the cross edges of the
+// users touched since the last call, walks the components those edges
+// reach, and gives every other uploaded user its alive owner. Returns
+// the users that moved, in user order, and the number of users in
+// straddling components.
+func (c *Coordinator) rehomeLocked() ([]move, int) {
+	c.updateCrossLocked()
+	alive := make([]int32, len(c.pools)) // alive stand-in per key owner
+	for o := range alive {
+		alive[o] = c.standInLocked(int32(o))
 	}
-
-	// Home per component root: minimum (key, id) member among uploaders.
-	type best struct {
-		key uint64
-		id  int32
-	}
-	homes := make(map[int32]best)
-	for u := range c.uploads {
-		r := uf.Find(u)
-		b, ok := homes[r]
-		if !ok || c.keys[u] < b.key || (c.keys[u] == b.key && u < b.id) {
-			homes[r] = best{key: c.keys[u], id: u}
-		}
-	}
-	c.componentCount = len(homes)
+	straddling := c.walkStraddlingLocked(alive)
 
 	var moves []move
-	for u := range c.uploads {
-		home := c.aliveOwnerLocked(homes[uf.Find(u)].id)
-		if c.serving[u] != home {
-			moves = append(moves, move{user: u, from: c.serving[u], to: home})
-			c.serving[u] = home
+	for u, from := range c.serving {
+		if from < 0 {
+			continue // never uploaded
+		}
+		to := alive[c.keyOwner[u]]
+		if c.stamp[u] == c.stampGen {
+			to = c.home[u]
+		}
+		if from != to {
+			moves = append(moves, move{user: int32(u), from: from, to: to})
+			c.serving[u] = to
 		}
 	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].user < moves[j].user })
-	return moves
+	return moves, straddling
+}
+
+// updateCrossLocked brings the cross edges up to date with the touched
+// users' stored uploads and clears the touched set. An edge's existence
+// depends only on its endpoints' lists, so dropping every touched
+// user's edges and re-deriving them from its list is exact.
+func (c *Coordinator) updateCrossLocked() {
+	for _, u := range c.touchedList {
+		for _, v := range c.cross[u] {
+			l := c.cross[v]
+			i := slices.Index(l, u)
+			l[i] = l[len(l)-1]
+			if l = l[:len(l)-1]; len(l) == 0 {
+				delete(c.cross, v)
+			} else {
+				c.cross[v] = l
+			}
+		}
+		delete(c.cross, u)
+	}
+	for _, u := range c.touchedList {
+		for _, pr := range c.uploads[u] {
+			v := pr.Peer
+			if c.keyOwner[v] == c.keyOwner[u] || slices.Contains(c.cross[u], v) || !c.ranksLocked(v, u) {
+				continue // not a cross edge (v == u included), derived already, or not mutual
+			}
+			c.cross[u] = append(c.cross[u], v)
+			c.cross[v] = append(c.cross[v], u)
+		}
+		c.touched[u] = false
+	}
+	c.touchedList = c.touchedList[:0]
+}
+
+// walkStraddlingLocked walks every component that holds a cross edge
+// breadth-first from its boundary users, stamps its members with a new
+// stamp generation and sets their home to the alive stand-in of the
+// component minimum's key owner. Returns the number of users walked.
+func (c *Coordinator) walkStraddlingLocked(alive []int32) int {
+	c.stampGen++
+	if c.stampGen == 0 {
+		// Wrapped: a stamp left from 2^32 walks ago would alias.
+		clear(c.stamp)
+		c.stampGen = 1
+	}
+	gen := c.stampGen
+	walked := 0
+	for b := range c.cross {
+		if c.stamp[b] == gen {
+			continue
+		}
+		c.stamp[b] = gen
+		comp := append(c.walk[:0], b)
+		low := b
+		for i := 0; i < len(comp); i++ {
+			x := comp[i]
+			for _, pr := range c.uploads[x] {
+				v := pr.Peer
+				if c.stamp[v] == gen || !c.ranksLocked(v, x) {
+					continue // walked already (v == x included), or not mutual
+				}
+				c.stamp[v] = gen
+				comp = append(comp, v)
+				if c.keys[v] < c.keys[low] || (c.keys[v] == c.keys[low] && v < low) {
+					low = v
+				}
+			}
+		}
+		home := alive[c.keyOwner[low]]
+		for _, x := range comp {
+			c.home[x] = home
+		}
+		walked += len(comp)
+		c.walk = comp
+	}
+	return walked
 }
 
 // ranksLocked reports whether u's stored upload ranks v.
@@ -757,30 +859,47 @@ func (c *Coordinator) refreshShardEpochs() []*service.EpochPayload {
 }
 
 // EpochStatus aggregates the live shards' pipeline states into one
-// payload: Epoch is the coordinator's rotation count, Published requires
-// every live shard to have published, and the counters are sums.
+// payload (see epochPayload).
 func (c *Coordinator) EpochStatus(ctx context.Context) (*service.EpochPayload, error) {
-	agg := &service.EpochPayload{Published: true, Policy: c.policyString()}
+	shards := make([]*service.EpochPayload, len(c.pools))
 	for i := range c.pools {
 		if c.health[i].isDead() {
 			continue
 		}
 		c.cm.ObserveRouted(string(service.OpEpoch))
-		var p *service.EpochPayload
 		err := c.pools[i].query(func(cl *service.Client) error {
 			var err error
-			p, err = cl.EpochStatus()
+			shards[i], err = cl.EpochStatus()
 			return err
 		})
 		if err != nil {
 			return nil, relayErr(service.OpEpoch, err)
 		}
-		c.cm.SetShardEpoch(i, p.Epoch)
+		c.cm.SetShardEpoch(i, shards[i].Epoch)
+	}
+	c.rotateMu.Lock()
+	epoch := c.epoch
+	c.rotateMu.Unlock()
+	return c.epochPayload(epoch, shards), nil
+}
+
+// epochPayload folds the shards' epoch payloads (nil entries skipped)
+// into the coordinator's: Epoch is the coordinator's rotation count,
+// SinceTrigger its uploads since the last rotation, Published requires
+// every shard to have published, the counters are sums, and KMax and
+// LastBuildUs are maxima.
+func (c *Coordinator) epochPayload(epoch uint64, shards []*service.EpochPayload) *service.EpochPayload {
+	agg := &service.EpochPayload{Epoch: epoch, Published: true, Policy: c.policyString()}
+	for _, p := range shards {
+		if p == nil {
+			continue
+		}
 		agg.Published = agg.Published && p.Published
 		agg.Pending += p.Pending
 		agg.Builds += p.Builds
 		agg.Swaps += p.Swaps
 		agg.UploadsSeen += p.UploadsSeen
+		agg.Changed += p.Changed
 		agg.Edges += p.Edges
 		agg.Clusters += p.Clusters
 		agg.Skipped += p.Skipped
@@ -788,20 +907,29 @@ func (c *Coordinator) EpochStatus(ctx context.Context) (*service.EpochPayload, e
 		agg.ShardsTotal += p.ShardsTotal
 		agg.Profiled += p.Profiled
 		agg.Degraded += p.Degraded
-		if p.KMax > agg.KMax {
-			agg.KMax = p.KMax
-		}
-		if p.LastBuildUs > agg.LastBuildUs {
-			agg.LastBuildUs = p.LastBuildUs
-		}
+		agg.KMax = max(agg.KMax, p.KMax)
+		agg.LastBuildUs = max(agg.LastBuildUs, p.LastBuildUs)
 	}
-	c.rotateMu.Lock()
-	agg.Epoch = c.epoch
-	c.rotateMu.Unlock()
 	c.mu.RLock()
 	agg.SinceTrigger = c.uploadsSince
 	c.mu.RUnlock()
-	return agg, nil
+	return agg
+}
+
+// rotateEpoch rotates and answers with the aggregated epoch status,
+// built from the scrape the rotation already made. It queries the
+// shards again only when a live shard's scrape failed.
+func (c *Coordinator) rotateEpoch(ctx context.Context) (*service.EpochPayload, error) {
+	st, shards, err := c.rotate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range shards {
+		if p == nil && !c.health[i].isDead() {
+			return c.EpochStatus(ctx)
+		}
+	}
+	return c.epochPayload(st.Epoch, shards), nil
 }
 
 // Stats aggregates live-shard stats plus the coordinator's own request

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -279,7 +280,10 @@ func TestFourShardClusterMatchesSingleProcess(t *testing.T) {
 // epoch, so its edges still count. After a full rotate, a rotate in
 // which only one shard had new uploads, and a rotate with none,
 // RotateStats.Edges must equal EpochStatus().Edges; so must the edge
-// count of a v0 freeze through the coordinator's listener.
+// count of a v0 freeze through the coordinator's listener. A v1 rotate
+// through the listener must answer with exactly the payload a following
+// EpochStatus returns, built from the rotation's own scrape: one epoch
+// query per live shard, not two.
 func TestRotateEdgesMatchServingEpochs(t *testing.T) {
 	n, k := 400, 4
 	pts := dataset.CaliforniaLike(n, 7)
@@ -287,7 +291,8 @@ func TestRotateEdgesMatchServingEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := startCluster(t, n, k, 2, keys, metrics.NewClusterMetrics())
+	cm := metrics.NewClusterMetrics()
+	coord := startCluster(t, n, k, 2, keys, cm)
 	lists := proximityLists(pts)
 	for u := int32(0); u < int32(n); u++ {
 		if err := coord.Upload(bg, UploadRequest{User: u, Peers: lists[u]}); err != nil {
@@ -323,17 +328,22 @@ func TestRotateEdgesMatchServingEpochs(t *testing.T) {
 	if builds := rotate("full rotate"); builds != 2 {
 		t.Fatalf("full rotate: %d shard builds, want 2", builds)
 	}
-	// One user re-ranks its peers: same edges, so nobody is re-homed and
-	// only the user's home shard has a new upload.
-	var u int32
-	for len(lists[u]) < 2 {
-		u++
+	// rerank makes the first user from u on with two or more peers swap
+	// its top two ranks: same edges, so nobody is re-homed and only the
+	// user's home shard has a new upload. Returns the next user to try.
+	rerank := func(u int32) int32 {
+		t.Helper()
+		for len(lists[u]) < 2 {
+			u++
+		}
+		reranked := append([]service.PeerRank(nil), lists[u]...)
+		reranked[0].Rank, reranked[1].Rank = reranked[1].Rank, reranked[0].Rank
+		if err := coord.Upload(bg, UploadRequest{User: u, Peers: reranked}); err != nil {
+			t.Fatal(err)
+		}
+		return u + 1
 	}
-	reranked := append([]service.PeerRank(nil), lists[u]...)
-	reranked[0].Rank, reranked[1].Rank = reranked[1].Rank, reranked[0].Rank
-	if err := coord.Upload(bg, UploadRequest{User: u, Peers: reranked}); err != nil {
-		t.Fatal(err)
-	}
+	next := rerank(0)
 	if builds := rotate("one-shard rotate"); builds != 3 {
 		t.Fatalf("one-shard rotate: %d shard builds, want 3", builds)
 	}
@@ -355,6 +365,88 @@ func TestRotateEdgesMatchServingEpochs(t *testing.T) {
 		t.Fatalf("v0 freeze: %v", err)
 	}
 	check("v0 freeze", edges)
+
+	epochQueries := func() uint64 {
+		for _, r := range cm.Snapshot().Routed {
+			if r.Op == string(service.OpEpoch) {
+				return r.Count
+			}
+		}
+		return 0
+	}
+	rerank(next)
+	before := epochQueries()
+	reply, err := cl.Rotate()
+	if err != nil {
+		t.Fatalf("v1 rotate: %v", err)
+	}
+	if q := epochQueries() - before; q != 2 {
+		t.Fatalf("v1 rotate made %d epoch queries, want 2 (one scrape per shard)", q)
+	}
+	ep, err := coord.EpochStatus(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.Builds != 4 {
+		t.Fatalf("v1 rotate: %d shard builds, want 4", ep.Builds)
+	}
+	if !reflect.DeepEqual(reply, ep) {
+		t.Fatalf("v1 rotate reply differs from the following EpochStatus:\n  rotate: %+v\n  epoch:  %+v", *reply, *ep)
+	}
+}
+
+// TestEpochStatusSumsChanged pins the coordinator's epoch payload to its
+// shards' changed counts: after a rotate, two changed re-uploads (one
+// per shard) and a flush, the coordinator must read changed=2, the sum
+// of what its shards read.
+func TestEpochStatusSumsChanged(t *testing.T) {
+	n, k := 40, 2
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) // users 0..19 key-own to shard 0, 20..39 to shard 1
+	}
+	coord := startCluster(t, n, k, 2, keys, nil)
+
+	pair := func(u, v int32, rank int32) UploadRequest {
+		return UploadRequest{User: u, Peers: []service.PeerRank{{Peer: v, Rank: rank}}}
+	}
+	for _, req := range []UploadRequest{pair(0, 1, 1), pair(1, 0, 1), pair(20, 21, 1), pair(21, 20, 1)} {
+		if err := coord.Upload(bg, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := coord.Rotate(bg); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []UploadRequest{pair(0, 1, 2), pair(20, 21, 2)} {
+		if err := coord.Upload(bg, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+
+	sum := 0
+	for _, pool := range coord.pools {
+		err := pool.query(func(cl *service.Client) error {
+			p, err := cl.EpochStatus()
+			if err == nil {
+				sum += p.Changed
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ep, err := coord.EpochStatus(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != 2 || ep.Changed != sum {
+		t.Fatalf("coordinator changed=%d, shards sum to %d; want 2 and 2", ep.Changed, sum)
+	}
 }
 
 // TestClusterProfilesSurviveRehoming pins that a personalized profile

@@ -147,16 +147,16 @@ func (c *Coordinator) handle(ctx context.Context, req service.Request) (any, boo
 		return service.Response{OK: true, Cluster: p.Cluster, Cost: p.Cost, Epoch: p.Epoch}, true
 
 	case service.OpFreeze, service.OpRotate:
-		st, err := c.Rotate(ctx)
-		if err != nil {
-			return fail(err)
-		}
 		if v1 {
-			ep, err := c.EpochStatus(ctx)
+			ep, err := c.rotateEpoch(ctx)
 			if err != nil {
 				return fail(err)
 			}
 			return service.Envelope{V: service.ProtocolVersion, OK: true, Epoch: ep}, true
+		}
+		st, err := c.Rotate(ctx)
+		if err != nil {
+			return fail(err)
 		}
 		return service.Response{OK: true, EdgeCount: st.Edges, Epoch: st.Epoch}, true
 

@@ -117,6 +117,18 @@ go run ./cmd/cloaksim -profiles -n 500 -k 5 | grep '2k+area' > /dev/null \
 echo "==> go test -bench=BenchmarkCoordinatorUploadBatch -benchtime=1x (smoke)"
 go test -bench='^BenchmarkCoordinatorUploadBatch$' -benchtime=1x -run '^$' ./internal/cluster
 
+# The rehome contract, by name and under the race detector: after every
+# rotation of seeded upload, death and revival sequences at 2-4 shards,
+# the cross-edge rehome's moves, serving table and straddling count
+# equal the from-scratch union-find's on a twin coordinator.
+echo "==> go test -race -run=TestRehomeMatchesFromScratch (rehome differential)"
+go test -race -count=1 -run='^TestRehomeMatchesFromScratch$' ./internal/cluster
+
+# The rehome benchmark, by name: its from-scratch arm is the baseline
+# the lock-hold figures in EXPERIMENTS.md are measured against.
+echo "==> go test -bench=BenchmarkCoordinatorRehome -benchtime=1x (smoke)"
+go test -bench='^BenchmarkCoordinatorRehome$' -benchtime=1x -run '^$' ./internal/cluster
+
 # Short fuzz smoke passes: ten seconds of coverage-guided input per
 # target on top of the checked-in seed corpora ('-run ^$' skips the unit
 # tests, which already ran above).
