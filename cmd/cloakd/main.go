@@ -343,11 +343,11 @@ func runDemo(addr string, n, k int, seed int64) error {
 			return fmt.Errorf("upload %d: %w", v, err)
 		}
 	}
-	edges, err := c.Freeze()
+	ep, err := c.Freeze()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("demo: server built epoch 1 with %d edges\n", edges)
+	fmt.Printf("demo: server built epoch %d with %d edges\n", ep.Epoch, ep.Edges)
 
 	for _, host := range []int32{0, 7, int32(n / 2)} {
 		cp, err := c.CloakV1(host)

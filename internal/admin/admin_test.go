@@ -29,8 +29,12 @@ func newTestHandler(t *testing.T) (*Handler, *service.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	handle := func(req service.Request) service.Envelope {
+		req.V = service.ProtocolVersion
+		return srv.HandleEnvelope(context.Background(), req)
+	}
 	for i := int32(0); i < 8; i++ {
-		resp := srv.Handle(service.Request{Op: service.OpUpload, User: i,
+		resp := handle(service.Request{Op: service.OpUpload, User: i,
 			Peers: []service.PeerRank{
 				{Peer: (i + 1) % 8, Rank: 1},
 				{Peer: (i + 7) % 8, Rank: 2},
@@ -39,10 +43,10 @@ func newTestHandler(t *testing.T) (*Handler, *service.Server) {
 			t.Fatalf("upload %d: %s", i, resp.Error)
 		}
 	}
-	if resp := srv.Handle(service.Request{Op: service.OpFreeze}); resp.Error != "" {
+	if resp := handle(service.Request{Op: service.OpFreeze}); resp.Error != "" {
 		t.Fatalf("freeze: %s", resp.Error)
 	}
-	if resp := srv.Handle(service.Request{Op: service.OpCloak, User: 3}); resp.Error != "" {
+	if resp := handle(service.Request{Op: service.OpCloak, User: 3}); resp.Error != "" {
 		t.Fatalf("cloak: %s", resp.Error)
 	}
 	return New(srv), srv

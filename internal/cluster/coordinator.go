@@ -470,7 +470,7 @@ type RotateStats struct {
 	Epoch      uint64 // completed cluster rotations
 	Straddling int    // users in WPG components spanning two or more key owners
 	Moves      int    // users re-homed (border replays sent)
-	Edges      int    // mutual edges across all shards after the rotate
+	Edges      int    // mutual edges served by the shards that answered the freeze
 	FailedOver int    // users re-homed off shards declared dead
 	DeadShards int    // shards currently dead
 }
@@ -492,8 +492,9 @@ func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 	return st, err
 }
 
-// rotate is Rotate, also returning the live shards' epoch payloads as
-// scraped after the freeze (nil for a dead shard or a failed scrape).
+// rotate is Rotate, also returning the shards' freeze replies: each
+// one's epoch payload once its freeze published (nil for a shard that
+// was dead or skipped).
 func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.EpochPayload, error) {
 	c.rotateMu.Lock()
 	defer c.rotateMu.Unlock()
@@ -568,13 +569,11 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 		return RotateStats{}, nil, fmt.Errorf("cluster: rotate: flush shard %d: %w", i, err)
 	}
 
-	// Freeze the surviving shards in parallel. A shard whose input didn't
-	// change answers "no new uploads"; it keeps serving its previous
-	// epoch, which covers the same uploads — not an error, just lag. Its
-	// freeze reply then carries no edge count, so the counts are summed
-	// from the epoch scrape below, with the freeze reply as the fallback
-	// for a shard that fails the scrape.
-	edges := make([]int, len(c.pools))
+	// Freeze the surviving shards in parallel. Each reply is the epoch
+	// payload the shard serves once its freeze published. A shard whose
+	// input didn't change builds nothing and answers with the epoch it
+	// already serves, which covers the same uploads, flagged unchanged.
+	shards := make([]*service.EpochPayload, len(c.pools))
 	errs := make([]error, len(c.pools))
 	for i := range c.pools {
 		if skip[i] {
@@ -585,13 +584,10 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 			defer wg.Done()
 			c.cm.ObserveRouted(string(service.OpFreeze))
 			errs[i] = c.pools[i].query(func(cl *service.Client) error {
-				n, err := cl.Freeze()
-				edges[i] = n
+				var err error
+				shards[i], err = cl.Freeze()
 				return err
 			})
-			if errs[i] != nil && strings.Contains(errs[i].Error(), "no new uploads") {
-				errs[i] = nil
-			}
 		}(i)
 	}
 	wg.Wait()
@@ -614,14 +610,13 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 			stats.DeadShards++
 		}
 	}
-	scraped := c.refreshShardEpochs()
-	for i, ep := range scraped {
-		if ep != nil {
-			edges[i] = ep.Edges
+	for i, p := range shards {
+		if p != nil {
+			c.cm.SetShardEpoch(i, p.Epoch)
+			stats.Edges += p.Edges
 		}
-		stats.Edges += edges[i]
 	}
-	return stats, scraped, nil
+	return stats, shards, nil
 }
 
 // flushTimeout bounds one rotation's wait for a shard queue to drain.
@@ -824,40 +819,6 @@ func (c *Coordinator) ranksLocked(u, v int32) bool {
 	return false
 }
 
-// refreshShardEpochs polls the live shards' epoch statuses into the
-// per-shard epoch gauges and returns them by shard index (best effort:
-// a dead shard or a failed poll leaves its entry nil and its gauge at
-// the old value). Polls fan out with a bounded worker set so one slow
-// shard never stalls the scrape behind it.
-func (c *Coordinator) refreshShardEpochs() []*service.EpochPayload {
-	const maxConcurrentPolls = 8
-	sem := make(chan struct{}, maxConcurrentPolls)
-	out := make([]*service.EpochPayload, len(c.pools))
-	var wg sync.WaitGroup
-	for i := range c.pools {
-		if c.health[i].isDead() {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c.cm.ObserveRouted(string(service.OpEpoch))
-			_ = c.pools[i].query(func(cl *service.Client) error {
-				p, err := cl.EpochStatus()
-				if err == nil {
-					c.cm.SetShardEpoch(i, p.Epoch)
-					out[i] = p
-				}
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
 // EpochStatus aggregates the live shards' pipeline states into one
 // payload (see epochPayload).
 func (c *Coordinator) EpochStatus(ctx context.Context) (*service.EpochPayload, error) {
@@ -917,8 +878,8 @@ func (c *Coordinator) epochPayload(epoch uint64, shards []*service.EpochPayload)
 }
 
 // rotateEpoch rotates and answers with the aggregated epoch status,
-// built from the scrape the rotation already made. It queries the
-// shards again only when a live shard's scrape failed.
+// built from the shards' freeze replies. It queries the shards again
+// only when a live shard was skipped.
 func (c *Coordinator) rotateEpoch(ctx context.Context) (*service.EpochPayload, error) {
 	st, shards, err := c.rotate(ctx)
 	if err != nil {

@@ -170,7 +170,7 @@ func TestTwoShardClusterMatchesSingleProcess(t *testing.T) {
 	}
 	rotateBoth := func() RotateStats {
 		t.Helper()
-		if _, err := ref.Freeze(); err != nil && !strings.Contains(err.Error(), "no new uploads") {
+		if _, err := ref.Freeze(); err != nil {
 			t.Fatalf("reference freeze: %v", err)
 		}
 		st, err := coord.Rotate(bg)
@@ -276,14 +276,14 @@ func TestFourShardClusterMatchesSingleProcess(t *testing.T) {
 
 // TestRotateEdgesMatchServingEpochs pins a rotation's edge count to the
 // edges the shards actually serve. A shard with no new uploads answers
-// the freeze with "no new uploads" and keeps serving its previous
-// epoch, so its edges still count. After a full rotate, a rotate in
-// which only one shard had new uploads, and a rotate with none,
-// RotateStats.Edges must equal EpochStatus().Edges; so must the edge
-// count of a v0 freeze through the coordinator's listener. A v1 rotate
+// the freeze with its serving epoch, flagged unchanged, and keeps
+// serving it, so its edges still count. After a full rotate, a rotate
+// in which only one shard had new uploads, and a rotate with none,
+// RotateStats.Edges must equal EpochStatus().Edges; so must the edges
+// of a freeze's payload through the coordinator's listener. A rotate
 // through the listener must answer with exactly the payload a following
-// EpochStatus returns, built from the rotation's own scrape: one epoch
-// query per live shard, not two.
+// EpochStatus returns, built from the shards' freeze replies: one
+// freeze and no epoch query per live shard.
 func TestRotateEdgesMatchServingEpochs(t *testing.T) {
 	n, k := 400, 4
 	pts := dataset.CaliforniaLike(n, 7)
@@ -360,38 +360,39 @@ func TestRotateEdgesMatchServingEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	edges, err := cl.Freeze()
+	frozen, err := cl.Freeze()
 	if err != nil {
-		t.Fatalf("v0 freeze: %v", err)
+		t.Fatalf("freeze: %v", err)
 	}
-	check("v0 freeze", edges)
+	check("freeze", frozen.Edges)
 
-	epochQueries := func() uint64 {
+	routed := func(op service.Op) uint64 {
 		for _, r := range cm.Snapshot().Routed {
-			if r.Op == string(service.OpEpoch) {
+			if r.Op == string(op) {
 				return r.Count
 			}
 		}
 		return 0
 	}
 	rerank(next)
-	before := epochQueries()
+	freezes, epochs := routed(service.OpFreeze), routed(service.OpEpoch)
 	reply, err := cl.Rotate()
 	if err != nil {
-		t.Fatalf("v1 rotate: %v", err)
+		t.Fatalf("rotate: %v", err)
 	}
-	if q := epochQueries() - before; q != 2 {
-		t.Fatalf("v1 rotate made %d epoch queries, want 2 (one scrape per shard)", q)
+	freezes, epochs = routed(service.OpFreeze)-freezes, routed(service.OpEpoch)-epochs
+	if freezes != 2 || epochs != 0 {
+		t.Fatalf("rotate routed %d freezes and %d epoch queries, want 2 and 0 (one freeze per shard)", freezes, epochs)
 	}
 	ep, err := coord.EpochStatus(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ep.Builds != 4 {
-		t.Fatalf("v1 rotate: %d shard builds, want 4", ep.Builds)
+		t.Fatalf("rotate: %d shard builds, want 4", ep.Builds)
 	}
 	if !reflect.DeepEqual(reply, ep) {
-		t.Fatalf("v1 rotate reply differs from the following EpochStatus:\n  rotate: %+v\n  epoch:  %+v", *reply, *ep)
+		t.Fatalf("rotate reply differs from the following EpochStatus:\n  rotate: %+v\n  epoch:  %+v", *reply, *ep)
 	}
 }
 

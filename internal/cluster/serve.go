@@ -11,7 +11,7 @@ import (
 
 // Listen starts the coordinator's protocol listener on addr and returns
 // the bound address. It speaks the same line-delimited JSON protocol as
-// a single cloakd (v0 and v1), through the same codec and line loop
+// a single cloakd, through the same codec and line loop
 // (service.ServeLines), so existing clients work unchanged against a
 // cluster. The listener and every accepted connection stay open until
 // ctx is canceled or Close is called.
@@ -87,104 +87,71 @@ func (c *Coordinator) closeConns() {
 
 // serveRequest answers one parsed request and folds it into the
 // coordinator's request metrics.
-func (c *Coordinator) serveRequest(ctx context.Context, req service.Request) any {
+func (c *Coordinator) serveRequest(ctx context.Context, req service.Request) service.Envelope {
 	start := time.Now()
-	resp, ok := c.handle(ctx, req)
-	c.rm.Observe(string(req.Op), time.Since(start), ok)
-	return resp
+	env := c.handle(ctx, req)
+	c.rm.Observe(string(req.Op), time.Since(start), env.OK)
+	return env
 }
 
-// handle answers one request in the shape its protocol version expects.
-func (c *Coordinator) handle(ctx context.Context, req service.Request) (any, bool) {
-	v1 := req.V >= service.ProtocolVersion
-	fail := func(err error) (any, bool) {
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, Error: err.Error()}, false
-		}
-		return service.Response{Error: err.Error()}, false
+// handle answers one request.
+func (c *Coordinator) handle(ctx context.Context, req service.Request) service.Envelope {
+	ok := service.Envelope{V: service.ProtocolVersion, OK: true}
+	fail := func(err error) service.Envelope {
+		return service.Envelope{V: service.ProtocolVersion, Error: err.Error()}
 	}
 	switch req.Op {
 	case service.OpPing:
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true}, true
-		}
-		return service.Response{OK: true}, true
+		return ok
 
 	case service.OpUpload:
-		var prof *service.ProfileSpec
-		if v1 {
-			prof = req.Profile
-		}
-		if err := c.Upload(ctx, UploadRequest{User: req.User, Peers: req.Peers, Profile: prof}); err != nil {
+		if err := c.Upload(ctx, UploadRequest{User: req.User, Peers: req.Peers, Profile: req.Profile}); err != nil {
 			return fail(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true}, true
-		}
-		return service.Response{OK: true}, true
+		return ok
 
 	case service.OpUploadBatch:
-		if !v1 {
-			return service.Response{Error: `upload_batch requires "v":1`}, false
-		}
 		for i, e := range req.Uploads {
 			if err := c.Upload(ctx, e); err != nil {
-				env := service.Envelope{V: service.ProtocolVersion, Error: err.Error()}
+				env := fail(err)
 				env.Batch = &service.BatchPayload{Accepted: i}
-				return env, false
+				return env
 			}
 		}
-		return service.Envelope{V: service.ProtocolVersion, OK: true, Batch: &service.BatchPayload{Accepted: len(req.Uploads)}}, true
+		ok.Batch = &service.BatchPayload{Accepted: len(req.Uploads)}
+		return ok
 
 	case service.OpCloak:
 		p, err := c.Cloak(ctx, req.User)
 		if err != nil {
 			return fail(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Cloak: p}, true
-		}
-		return service.Response{OK: true, Cluster: p.Cluster, Cost: p.Cost, Epoch: p.Epoch}, true
+		ok.Cloak = p
+		return ok
 
 	case service.OpFreeze, service.OpRotate:
-		if v1 {
-			ep, err := c.rotateEpoch(ctx)
-			if err != nil {
-				return fail(err)
-			}
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Epoch: ep}, true
-		}
-		st, err := c.Rotate(ctx)
+		ep, err := c.rotateEpoch(ctx)
 		if err != nil {
 			return fail(err)
 		}
-		return service.Response{OK: true, EdgeCount: st.Edges, Epoch: st.Epoch}, true
+		ok.Epoch = ep
+		return ok
 
 	case service.OpEpoch:
 		ep, err := c.EpochStatus(ctx)
 		if err != nil {
 			return fail(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Epoch: ep}, true
-		}
-		return service.Response{OK: true, Epoch: ep.Epoch, Frozen: ep.Published, EdgeCount: ep.Edges, Clusters: ep.Clusters}, true
+		ok.Epoch = ep
+		return ok
 
 	case service.OpStats:
 		sp, err := c.Stats(ctx)
 		if err != nil {
 			return fail(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Stats: sp}, true
-		}
-		return service.Response{
-			OK: true, Users: sp.Users, Uploads: sp.Uploads, Frozen: sp.Frozen,
-			Epoch: sp.Epoch, Clusters: sp.Clusters, EdgeCount: sp.Edges,
-			Requests: sp.Requests, ReqErrors: sp.ReqErrors,
-			LatP50us: sp.LatP50us, LatP95us: sp.LatP95us, LatP99us: sp.LatP99us,
-			OpCounts: sp.OpCounts,
-		}, true
+		ok.Stats = sp
+		return ok
 
 	default:
 		return fail(fmt.Errorf("cluster: unknown op %q", req.Op))

@@ -13,7 +13,7 @@ import (
 
 // TestCoordinatorWireProtocol drives the coordinator through its TCP
 // front-end with a stock service.Client: a cluster must be a drop-in
-// replacement for one cloakd on both protocol versions.
+// replacement for one cloakd.
 func TestCoordinatorWireProtocol(t *testing.T) {
 	n, k := 30, 2
 	keys := make([]uint64, n)
@@ -51,28 +51,27 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 	mutual(2, 3)
 	mutual(3, 2)
 
-	edges, err := c.Freeze()
+	frozen, err := c.Freeze()
 	if err != nil {
 		t.Fatalf("freeze: %v", err)
 	}
-	if edges != 4 {
-		t.Fatalf("freeze reported %d edges, want 4 (triangle 3 + pair 1)", edges)
+	if frozen.Edges != 4 {
+		t.Fatalf("freeze reported %d edges, want 4 (triangle 3 + pair 1)", frozen.Edges)
 	}
 
-	// v0 cloak.
-	cluster, _, err := c.Cloak(15)
+	tri, err := c.CloakV1(15)
 	if err != nil {
 		t.Fatalf("cloak: %v", err)
 	}
-	if len(cluster) != 3 {
-		t.Fatalf("cloak(15) = %v, want the triangle", cluster)
+	if len(tri.Cluster) != 3 {
+		t.Fatalf("cloak(15) = %v, want the triangle", tri.Cluster)
 	}
-	// v1 cloak for a user in no component.
+	// A cloak for a user in no component.
 	if _, err := c.CloakV1(9); err == nil {
 		t.Fatal("cloak of an unknown user succeeded")
 	}
 
-	// v1 epoch + stats aggregates.
+	// Epoch + stats aggregates.
 	ep, err := c.EpochStatus()
 	if err != nil {
 		t.Fatalf("epoch: %v", err)
@@ -87,7 +86,7 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 	if st.Users != n || st.Uploads != 5 || !st.Frozen {
 		t.Fatalf("stats payload = %+v, want users=%d uploads=5 frozen", st, n)
 	}
-	// v1 rotate with nothing new: shards answer "no new uploads", the
+	// A rotate with nothing new: the shards answer unchanged, the
 	// coordinator still advances its rotation count.
 	ep2, err := c.Rotate()
 	if err != nil {
@@ -108,8 +107,8 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 		t.Fatalf("cluster metrics %s: ordered forwards never batched", snap)
 	}
 
-	// The coordinator front-end also accepts upload_batch (v1 only) and
-	// relays the per-entry routing, including mid-batch rejection.
+	// The coordinator front-end also accepts upload_batch and relays the
+	// per-entry routing, including mid-batch rejection.
 	accepted, err := c.UploadBatch([]service.UploadEntry{
 		{User: 20, Peers: []service.PeerRank{{Peer: 21, Rank: 1}}},
 		{User: 21, Peers: []service.PeerRank{{Peer: 20, Rank: 1}}},
@@ -165,7 +164,7 @@ func TestCoordinatorCloseWithOpenClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := bufio.NewReader(raw)
-	for _, line := range []string{"not json", `{"op":"ping"}`} {
+	for _, line := range []string{"not json", `{"v":1,"op":"ping"}`} {
 		if _, err := raw.Write([]byte(line + "\n")); err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +172,11 @@ func TestCoordinatorCloseWithOpenClients(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no reply to %q: %v", line, err)
 		}
-		var resp service.Response
-		if err := json.Unmarshal(reply, &resp); err != nil {
+		var env service.Envelope
+		if err := json.Unmarshal(reply, &env); err != nil {
 			t.Fatalf("reply %q: %v", reply, err)
 		}
-		if wantOK := line != "not json"; resp.OK != wantOK {
+		if wantOK := line != "not json"; env.OK != wantOK || env.V != service.ProtocolVersion {
 			t.Fatalf("reply to %q = %s", line, reply)
 		}
 	}
@@ -206,5 +205,67 @@ func TestCoordinatorCloseWithOpenClients(t *testing.T) {
 	}
 	if _, err := rd.ReadBytes('\n'); err == nil {
 		t.Error("raw connection still open after Close")
+	}
+}
+
+// TestEveryReplyIsAnEnvelope pins that a shard and a coordinator answer
+// every line with a v1 envelope. A request without "v", a v0 request, a
+// malformed line and two values on one line each get an error envelope,
+// and the connection stays open for the v1 ping that follows.
+func TestEveryReplyIsAnEnvelope(t *testing.T) {
+	shard, err := service.New(service.WithNumUsers(10), service.WithK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shard.Close() })
+	shardAddr, err := shard.Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordAddr, err := startCluster(t, 10, 2, 2, nil, nil).Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const ping = `{"v":1,"op":"ping"}`
+	for _, srv := range []struct {
+		name string
+		addr net.Addr
+	}{{"shard", shardAddr}, {"coordinator", coordAddr}} {
+		t.Run(srv.name, func(t *testing.T) {
+			raw, err := net.Dial("tcp", srv.addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			rd := bufio.NewReader(raw)
+			for _, bad := range []string{
+				`{"op":"ping"}`,
+				`{"v":0,"op":"cloak","user":1}`,
+				`not json`,
+				`{"op":"ping"}{"op":"stats"}`,
+			} {
+				for _, line := range []string{bad, ping} {
+					if _, err := raw.Write([]byte(line + "\n")); err != nil {
+						t.Fatalf("write %q: %v", line, err)
+					}
+					reply, err := rd.ReadBytes('\n')
+					if err != nil {
+						t.Fatalf("no reply to %q: %v", line, err)
+					}
+					var env service.Envelope
+					if err := json.Unmarshal(reply, &env); err != nil {
+						t.Fatalf("reply to %q is not an envelope: %s", line, reply)
+					}
+					wantOK := line == ping
+					if env.V != service.ProtocolVersion || env.OK != wantOK || (env.Error == "") != wantOK {
+						t.Fatalf("reply to %q = %s, want a v1 envelope with ok %v", line, reply, wantOK)
+					}
+				}
+			}
+		})
 	}
 }

@@ -169,7 +169,7 @@ func (p Policy) String() string {
 const (
 	TriggerCount  = "count"  // Policy.EveryUploads fired
 	TriggerFrac   = "frac"   // Policy.ChangedFrac fired
-	TriggerRotate = "rotate" // explicit Rotate (or legacy freeze)
+	TriggerRotate = "rotate" // explicit Rotate (or a freeze)
 	TriggerStale  = "stale"  // Policy.MaxStaleness timer fired
 )
 
@@ -241,8 +241,9 @@ type Generation struct {
 	Trace *trace.Span
 
 	billed atomic.Bool
-	// done is closed once the build finished and, when it succeeded,
-	// published — or once Close dropped the queued build.
+	// done is closed once the build finished, published when it
+	// succeeded, and left the pending count — or once Close dropped the
+	// queued build.
 	done chan struct{}
 }
 
@@ -269,7 +270,7 @@ func (g *Generation) transcriptLine() string {
 // Sentinel errors.
 var (
 	// ErrNotReady: no generation has been published yet. The message
-	// deliberately contains "not frozen" for v0 protocol compatibility.
+	// keeps the words "not frozen", which clients have long matched on.
 	ErrNotReady = errors.New("epoch: graph not frozen yet (no epoch published; upload then freeze or rotate)")
 	// ErrNoNewUploads: a rotate was requested but nothing changed since
 	// the previous trigger, so the rebuild would reproduce the serving
@@ -750,9 +751,9 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 // assigned epoch number; the build itself completes in the background
 // (use Sync to wait for publication). Rotating when nothing changed
 // since the previous trigger returns ErrNoNewUploads — except for the
-// very first epoch, which may legitimately be empty (the legacy "freeze
-// with no uploads" case). Cancellation is honored while waiting for the
-// manager lock.
+// very first epoch, which may legitimately be empty (a freeze before
+// any upload). Cancellation is honored while waiting for the manager
+// lock.
 func (m *Manager) Rotate(ctx context.Context) (uint64, error) {
 	gen, err := m.rotate(ctx)
 	if err != nil {
@@ -805,24 +806,36 @@ func (m *Manager) rotate(ctx context.Context) (*Generation, error) {
 
 // builderLoop drains the build queue serially (publication order ==
 // trigger order, which the determinism contract requires), then exits;
-// the next trigger restarts it.
+// the next trigger restarts it. A finished build's waiters are released
+// only once the loop has taken the next job or gone idle, so a Status
+// read right after RotateAndWait returns no longer counts that build as
+// pending.
 func (m *Manager) builderLoop() {
+	var built *Generation
 	for {
 		m.lock()
-		if len(m.queue) == 0 || m.closed {
+		idle := len(m.queue) == 0 || m.closed
+		var job buildJob
+		if idle {
 			m.building = false
 			m.em.SetPending(0)
 			if !m.closed {
 				close(m.idle) // Close already closed it when shutting down mid-build
 			}
-			m.unlock()
+		} else {
+			job = m.queue[0]
+			m.queue = m.queue[1:]
+			m.em.SetPending(len(m.queue) + 1) // the job itself still counts
+		}
+		m.unlock()
+		if built != nil {
+			close(built.done)
+		}
+		if idle {
 			return
 		}
-		job := m.queue[0]
-		m.queue = m.queue[1:]
-		m.em.SetPending(len(m.queue) + 1) // the job itself still counts
-		m.unlock()
 		m.build(job)
+		built = job.gen
 	}
 }
 
@@ -929,7 +942,6 @@ func (m *Manager) build(job buildJob) {
 	m.em.ObserveStage(metrics.StagePublish, psp.Duration())
 	root.End()
 	m.tr.Record(root)
-	close(gen.done)
 }
 
 // profileMeta fills the generation's profile accounting: per-cluster

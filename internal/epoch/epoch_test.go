@@ -541,3 +541,34 @@ func TestHistoryCapAndStatus(t *testing.T) {
 		t.Errorf("policy string = %q", st.Policy.String())
 	}
 }
+
+// TestRotateAndWaitLeavesNothingPending pins that a synchronous
+// rotation returns only once the pipeline has stopped counting its
+// build: with nothing queued behind it, a Status read straight after
+// RotateAndWait reports Pending 0. A freeze's reply is built from that
+// Status.
+func TestRotateAndWaitLeavesNothingPending(t *testing.T) {
+	const n = 64
+	m, err := New(n, WithK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	uploadRing(t, m, n)
+	ring := ringUploads(n)
+	for round := 0; round < 200; round++ {
+		if round > 0 {
+			if err := m.Upload(bg, UploadRequest{User: 0, Peers: ring[0]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen, err := m.RotateAndWait(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.Pending != 0 || st.Epoch != gen.Epoch {
+			t.Fatalf("round %d: status after RotateAndWait = epoch %d pending %d, want epoch %d pending 0",
+				round, st.Epoch, st.Pending, gen.Epoch)
+		}
+	}
+}

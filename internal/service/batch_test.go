@@ -2,14 +2,13 @@ package service
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
-// TestUploadBatchOverWire drives the v1 upload_batch op end to end:
+// TestUploadBatchOverWire drives the upload_batch op end to end:
 // ordered application, the batch payload's accepted count, prefix
-// semantics on a mid-batch rejection, sticky profile pointer semantics
-// matching single uploads, and the v0 gate.
+// semantics on a mid-batch rejection, and sticky profile pointer
+// semantics matching single uploads.
 func TestUploadBatchOverWire(t *testing.T) {
 	const n = 12
 	srv, err := New(WithNumUsers(n), WithK(2))
@@ -104,13 +103,6 @@ func TestUploadBatchOverWire(t *testing.T) {
 	}
 	if cp.EffectiveK != 4 {
 		t.Fatalf("user 5 effective_k = %d after nil-profile re-upload, want sticky 4", cp.EffectiveK)
-	}
-
-	// upload_batch is v1-only: the v0 dispatch rejects it with a message
-	// naming the version gate.
-	resp := srv.Handle(Request{Op: OpUploadBatch, Uploads: []UploadEntry{{User: 0}}})
-	if resp.Error == "" || !strings.Contains(resp.Error, `"v":1`) {
-		t.Fatalf("v0 upload_batch response = %+v, want a version-gate error", resp)
 	}
 }
 

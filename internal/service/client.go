@@ -2,16 +2,14 @@ package service
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
 )
 
-// Client is a device-side connection to the anonymizer service. The
-// legacy methods (Upload, Freeze, Cloak, Stats) speak v0; the *V1
-// methods and Rotate/EpochStatus speak the v1 envelope protocol. A
-// Client runs one round trip at a time.
+// Client is a device-side connection to the anonymizer service. Every
+// method sends one "v":1 request line and decodes the Envelope it gets
+// back. A Client runs one round trip at a time.
 type Client struct {
 	conn      net.Conn
 	br        *bufio.Reader
@@ -96,25 +94,9 @@ func (c *Client) exchange(req *Request) ([]byte, error) {
 	return line, nil
 }
 
-func (c *Client) roundTrip(req Request) (Response, error) {
-	line, err := c.exchange(&req)
-	if err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, fmt.Errorf("service: receive %s: %w", req.Op, err)
-	}
-	if !resp.OK {
-		return resp, fmt.Errorf("service: %s: %s", req.Op, resp.Error)
-	}
-	return resp, nil
-}
-
-// roundTripV1 sends a version-1 request and decodes the envelope. A
-// server answering a malformed line replies in the v0 shape; that still
-// decodes here (V stays 0, Error carries the reason).
-func (c *Client) roundTripV1(req Request) (Envelope, error) {
+// roundTrip sends req as a version-1 request and decodes the envelope;
+// an envelope with ok false comes back together with its error.
+func (c *Client) roundTrip(req Request) (Envelope, error) {
 	req.V = ProtocolVersion
 	line, err := c.exchange(&req)
 	if err != nil {
@@ -138,50 +120,34 @@ func (c *Client) Ping() error {
 
 // Upload submits this user's ranked peer list. Uploads are accepted at
 // any time; once an epoch has been published they become input to the
-// next one.
+// next one. A stored profile is left untouched (see UploadProfile).
 func (c *Client) Upload(user int32, peers []PeerRank) error {
 	_, err := c.roundTrip(Request{Op: OpUpload, User: user, Peers: peers})
 	return err
 }
 
 // Freeze forces an epoch rotation and waits for it to publish; cloaking
-// is available afterwards. Returns the number of mutual edges formed.
-func (c *Client) Freeze() (int, error) {
-	resp, err := c.roundTrip(Request{Op: OpFreeze})
-	if err != nil {
-		return 0, err
-	}
-	return resp.EdgeCount, nil
-}
-
-// Cloak requests the k-anonymity cluster for user. cost is the number of
-// messages this request caused on the server side (the epoch's upload
-// count for the first request served from each generation, zero after).
-func (c *Client) Cloak(user int32) (cluster []int32, cost int, err error) {
-	resp, err := c.roundTrip(Request{Op: OpCloak, User: user})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Cluster, resp.Cost, nil
-}
-
-// Stats fetches server state in the legacy flat shape.
-func (c *Client) Stats() (Response, error) {
-	return c.roundTrip(Request{Op: OpStats})
+// is available afterwards. The payload describes the published
+// generation (its Edges are the mutual edges formed). With no uploads
+// since the last rotation the server builds nothing: it waits for the
+// builds already queued and answers with the serving generation, with
+// Unchanged set.
+func (c *Client) Freeze() (*EpochPayload, error) {
+	return c.epochRoundTrip(OpFreeze)
 }
 
 // UploadProfile submits this user's ranked peer list together with a
-// personalized privacy profile over the v1 protocol. A zero ProfileSpec
-// reverts the user to the service defaults.
+// personalized privacy profile. A zero ProfileSpec reverts the user to
+// the service defaults.
 func (c *Client) UploadProfile(user int32, peers []PeerRank, prof ProfileSpec) error {
-	_, err := c.roundTripV1(Request{Op: OpUpload, User: user, Peers: peers, Profile: &prof})
+	_, err := c.roundTrip(Request{Op: OpUpload, User: user, Peers: peers, Profile: &prof})
 	return err
 }
 
-// UploadBatch submits several uploads in one v1 round trip. Entries
-// apply strictly in slice order and stop at the first failure, so the
-// batch is behaviorally identical to the same sequence of single
-// uploads on this connection — just one round trip instead of many.
+// UploadBatch submits several uploads in one round trip. Entries apply
+// strictly in slice order and stop at the first failure, so the batch
+// is behaviorally identical to the same sequence of single uploads on
+// this connection — just one round trip instead of many.
 // Per-entry profiles keep UploadProfile's sticky pointer semantics: a
 // nil Profile leaves any stored profile untouched, an explicit zero
 // spec reverts that user to the service defaults.
@@ -191,7 +157,7 @@ func (c *Client) UploadProfile(user int32, peers []PeerRank, prof ProfileSpec) e
 // (everything after it was not attempted); on a transport error it is 0
 // and the caller cannot know how much of the batch landed.
 func (c *Client) UploadBatch(entries []UploadEntry) (int, error) {
-	env, err := c.roundTripV1(Request{Op: OpUploadBatch, Uploads: entries})
+	env, err := c.roundTrip(Request{Op: OpUploadBatch, Uploads: entries})
 	if err != nil {
 		if env.Batch != nil {
 			return env.Batch.Accepted, err
@@ -199,59 +165,58 @@ func (c *Client) UploadBatch(entries []UploadEntry) (int, error) {
 		return 0, err
 	}
 	if env.Batch == nil {
-		return 0, fmt.Errorf("service: upload_batch: v1 response missing payload")
+		return 0, fmt.Errorf("service: upload_batch: response missing payload")
 	}
 	return env.Batch.Accepted, nil
 }
 
-// CloakV1 requests the k-anonymity cluster for user over the v1
-// protocol; the payload reports which epoch served the answer, and its
-// Cost field is present even when zero.
+// CloakV1 requests the k-anonymity cluster for user; the payload
+// reports which epoch served the answer and the messages the request
+// cost (the epoch's upload count for the first request served from each
+// generation, zero after).
 func (c *Client) CloakV1(user int32) (*CloakPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpCloak, User: user})
+	env, err := c.roundTrip(Request{Op: OpCloak, User: user})
 	if err != nil {
 		return nil, err
 	}
 	if env.Cloak == nil {
-		return nil, fmt.Errorf("service: cloak: v1 response missing payload")
+		return nil, fmt.Errorf("service: cloak: response missing payload")
 	}
 	return env.Cloak, nil
 }
 
 // Rotate forces a new epoch without waiting for its build. The returned
-// payload's Epoch is the freshly assigned generation number.
+// payload's Epoch is the freshly assigned generation number, or, with
+// Unchanged set, the serving one when there was nothing new to build.
 func (c *Client) Rotate() (*EpochPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpRotate})
-	if err != nil {
-		return nil, err
-	}
-	if env.Epoch == nil {
-		return nil, fmt.Errorf("service: rotate: v1 response missing payload")
-	}
-	return env.Epoch, nil
+	return c.epochRoundTrip(OpRotate)
 }
 
 // EpochStatus reports the re-clustering pipeline state.
 func (c *Client) EpochStatus() (*EpochPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpEpoch})
+	return c.epochRoundTrip(OpEpoch)
+}
+
+// epochRoundTrip sends op and returns the reply's epoch payload.
+func (c *Client) epochRoundTrip(op Op) (*EpochPayload, error) {
+	env, err := c.roundTrip(Request{Op: op})
 	if err != nil {
 		return nil, err
 	}
 	if env.Epoch == nil {
-		return nil, fmt.Errorf("service: epoch: v1 response missing payload")
+		return nil, fmt.Errorf("service: %s: response missing payload", op)
 	}
 	return env.Epoch, nil
 }
 
-// StatsV1 fetches server state in the v1 shape ("frozen" always
-// present).
+// StatsV1 fetches server state and request metrics.
 func (c *Client) StatsV1() (*StatsPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpStats})
+	env, err := c.roundTrip(Request{Op: OpStats})
 	if err != nil {
 		return nil, err
 	}
 	if env.Stats == nil {
-		return nil, fmt.Errorf("service: stats: v1 response missing payload")
+		return nil, fmt.Errorf("service: stats: response missing payload")
 	}
 	return env.Stats, nil
 }

@@ -33,6 +33,9 @@ func silentListener(t *testing.T) net.Listener {
 	return ln
 }
 
+// TestClientOpTimeoutAgainstSilentServer pins that a round trip to a
+// server that never answers fails with a net.Error timeout instead of
+// blocking the caller.
 func TestClientOpTimeoutAgainstSilentServer(t *testing.T) {
 	ln := silentListener(t)
 	c, err := Dial(ln.Addr().String(), WithOpTimeout(100*time.Millisecond))
@@ -56,6 +59,8 @@ func TestClientOpTimeoutAgainstSilentServer(t *testing.T) {
 	}
 }
 
+// TestClientOpTimeoutV1AgainstSilentServer pins the same bound on the
+// epoch-status path, which decodes a typed payload after the round trip.
 func TestClientOpTimeoutV1AgainstSilentServer(t *testing.T) {
 	ln := silentListener(t)
 	c, err := Dial(ln.Addr().String(), WithOpTimeout(100*time.Millisecond))
@@ -100,7 +105,7 @@ func TestClientDeadlineIsPerOperation(t *testing.T) {
 			if i == 1 {
 				time.Sleep(150 * time.Millisecond)
 			}
-			if _, err := conn.Write([]byte("{\"ok\":true}\n")); err != nil {
+			if _, err := conn.Write([]byte("{\"v\":1,\"ok\":true}\n")); err != nil {
 				return
 			}
 		}

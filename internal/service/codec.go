@@ -37,16 +37,16 @@ import (
 )
 
 // ServeLines runs the server side of the line protocol on conn: one
-// request per line in, one reply per line out, until ctx is done, the
+// request per line in, one Envelope per line out, until ctx is done, the
 // idle deadline passes (idle <= 0 disables it), or the peer hangs up.
-// Blank lines are skipped. A malformed line is answered in the v0 shape
-// (its version is unknowable; v1 clients decode it too) and counted as
-// "malformed" in rm, and the connection stays open, so one bad request
-// does not kill a pipelined client. An over-long line ends the
-// connection: its framing is lost. handle answers every parsed request
-// with an Envelope or a Response. The caller owns conn and closes it.
+// Blank lines are skipped. A malformed line, or a request whose "v" is
+// absent or below ProtocolVersion, is answered with an error envelope
+// and counted as "malformed" in rm, and the connection stays open, so
+// one bad request does not kill a pipelined client. An over-long line
+// ends the connection: its framing is lost. handle answers every other
+// request. The caller owns conn and closes it.
 func ServeLines(ctx context.Context, conn net.Conn, idle time.Duration, rm *metrics.RequestMetrics,
-	handle func(context.Context, Request) any) {
+	handle func(context.Context, Request) Envelope) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
 	var out []byte
@@ -66,30 +66,24 @@ func ServeLines(ctx context.Context, conn net.Conn, idle time.Duration, rm *metr
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var reply any
 		req, err := ParseRequest(line)
+		if err == nil && req.V < ProtocolVersion {
+			err = fmt.Errorf(`service: protocol version %d is not served; send "v":%d`, req.V, ProtocolVersion)
+		}
+		var env Envelope
 		if err != nil {
-			reply = Response{Error: err.Error()}
+			env = errEnvelope(err.Error())
 			rm.Observe("malformed", 0, false)
 		} else {
-			reply = handle(ctx, req)
+			env = handle(ctx, req)
 		}
-		if out, err = appendReply(out[:0], reply); err != nil {
+		if out, err = appendEnvelope(out[:0], &env); err != nil {
 			return
 		}
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
-}
-
-// appendReply appends one reply line: an Envelope through
-// appendEnvelope, anything else (the v0 Response) through encoding/json.
-func appendReply(dst []byte, reply any) ([]byte, error) {
-	if env, ok := reply.(Envelope); ok {
-		return appendEnvelope(dst, &env)
-	}
-	return appendJSONLine(dst, reply)
 }
 
 // appendJSONLine appends json.Marshal(v) and a newline; on error dst

@@ -312,6 +312,8 @@ var envelopeLines = []string{
 	`{"v":1,"ok":true}x`,
 	`{}`,
 	``,
+	`{"v":1,"ok":true,"epoch":{"epoch":3,"published":true,"unchanged":true,"pending":0,"builds":3}}`,
+	`{"v":1,"ok":true,"epoch":{"epoch":4,"published":false,"unchanged":false,"pending":1,"builds":3}}`,
 }
 
 // randomRequest draws a request over every field and the edge values
@@ -411,7 +413,7 @@ func randomEnvelope(rng *rand.Rand) Envelope {
 		env.Error = "shard <1> rejected \"x\""
 		env.Batch = &BatchPayload{Accepted: rng.Intn(10)}
 	case 5:
-		env.Epoch = &EpochPayload{Epoch: rng.Uint64(), Policy: "manual"}
+		env.Epoch = &EpochPayload{Epoch: rng.Uint64(), Unchanged: rng.Intn(2) == 0, Policy: "manual"}
 	}
 	return env
 }

@@ -3,9 +3,9 @@
 // TCP, and cloaking requests are answered with k-anonymous clusters. The
 // wire protocol is line-delimited JSON — one request object per line, one
 // response object per line — so it is trivially scriptable and
-// inspectable. Two response formats coexist (see PROTOCOL.md): the
-// legacy v0 flat Response, and the v1 tagged Envelope with per-operation
-// payload objects, selected per request by the "v" field.
+// inspectable. Every request carries "v":1 and every reply is a tagged
+// Envelope with at most one per-operation payload object (see
+// PROTOCOL.md); a line without the version gets an error envelope.
 //
 // Privacy note: exactly like the paper's anonymizer, the server only ever
 // sees *proximity ranks*, never coordinates. Phase 2 (secure bounding)
@@ -25,8 +25,10 @@ const (
 	// OpUpload submits one user's ranked peer list. Uploads are accepted
 	// at any time; after the first epoch they become next-epoch input.
 	OpUpload Op = "upload"
-	// OpFreeze forces an epoch rotation and waits for it to publish.
-	// Retained for v0 compatibility — it is a synchronous rotate.
+	// OpFreeze forces an epoch rotation and waits for it to publish: a
+	// synchronous rotate. With nothing new to build it waits for the
+	// builds already queued and answers with the serving epoch, flagged
+	// unchanged.
 	OpFreeze Op = "freeze"
 	// OpCloak asks for the k-anonymity cluster of a user.
 	OpCloak Op = "cloak"
@@ -38,10 +40,10 @@ const (
 	OpRotate Op = "rotate"
 	// OpEpoch reports the re-clustering pipeline state.
 	OpEpoch Op = "epoch"
-	// OpUploadBatch submits several uploads in one request (v1 only).
-	// Entries apply strictly in array order and stop at the first
-	// failure, so a batch is behaviorally identical to the same sequence
-	// of single uploads on one connection.
+	// OpUploadBatch submits several uploads in one request. Entries
+	// apply strictly in array order and stop at the first failure, so a
+	// batch is behaviorally identical to the same sequence of single
+	// uploads on one connection.
 	OpUploadBatch Op = "upload_batch"
 )
 
@@ -50,10 +52,10 @@ const (
 // RankedPeer under its wire-protocol name.
 type PeerRank = epoch.RankedPeer
 
-// Request is one protocol request. V selects the response format (0 =
-// legacy flat Response, 1 = tagged Envelope). Fields are used per Op:
-// Upload: User + Peers + optional Profile (v1 only — v0 predates
-// profiles and ignores the field); Cloak: User;
+// Request is one protocol request. V is the protocol version and must be
+// at least ProtocolVersion; servers answer a request without it with an
+// error envelope. Fields are used per Op: Upload: User + Peers +
+// optional Profile; UploadBatch: Uploads; Cloak: User;
 // Freeze/Rotate/Epoch/Stats/Ping: none.
 type Request struct {
 	V     int        `json:"v,omitempty"`
@@ -79,42 +81,6 @@ type UploadEntry struct {
 	User    int32        `json:"user"`
 	Peers   []PeerRank   `json:"peers,omitempty"`
 	Profile *ProfileSpec `json:"profile,omitempty"`
-}
-
-// Response is the legacy (v0) flat protocol response. Error is empty on
-// success.
-//
-// Known v0 wart, fixed in v1: omitempty makes semantically meaningful
-// zeros indistinguishable from absence — a cloak served from cache
-// (Cost 0) and an unfrozen server (Frozen false) simply drop the field.
-// The v1 Envelope payloads carry these fields explicitly; new clients
-// should send "v":1.
-type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-
-	// Cloak results.
-	Cluster []int32 `json:"cluster,omitempty"`
-	Cost    int     `json:"cost,omitempty"`
-
-	// Epoch of the serving generation (cloak/rotate/epoch results).
-	Epoch uint64 `json:"epoch,omitempty"`
-
-	// Stats results.
-	Users     int  `json:"users,omitempty"`
-	Uploads   int  `json:"uploads,omitempty"`
-	Frozen    bool `json:"frozen,omitempty"`
-	Clusters  int  `json:"clusters,omitempty"`
-	EdgeCount int  `json:"edges,omitempty"`
-
-	// Request-metrics results (OpStats): totals across all operations and
-	// aggregate latency percentiles in microseconds.
-	Requests  uint64            `json:"requests,omitempty"`
-	ReqErrors uint64            `json:"req_errors,omitempty"`
-	LatP50us  float64           `json:"lat_p50_us,omitempty"`
-	LatP95us  float64           `json:"lat_p95_us,omitempty"`
-	LatP99us  float64           `json:"lat_p99_us,omitempty"`
-	OpCounts  map[string]uint64 `json:"op_counts,omitempty"`
 }
 
 // MaxLineBytes caps one protocol line. A single upload for the largest

@@ -8,16 +8,15 @@ import (
 	"nonexposure/internal/metrics"
 )
 
-// ProtocolVersion is the newest response format the server speaks.
-// Requests carrying "v":1 are answered with an Envelope; requests
-// without a version field (or "v":0) get the legacy flat Response.
+// ProtocolVersion is the protocol version the server speaks. Every
+// request must carry "v":1 (a higher version is served as 1); a request
+// without it, like a malformed line, is answered with an error
+// Envelope.
 const ProtocolVersion = 1
 
-// Envelope is the v1 protocol response: a version tag, the outcome, and
-// exactly one per-operation payload object on success. Splitting the v0
-// god-struct into payloads fixes the omitempty ambiguity — each payload
-// serializes its semantically meaningful zeros ("cost":0,
-// "frozen":false) explicitly.
+// Envelope is the protocol response: a version tag, the outcome, and at
+// most one per-operation payload object. Each payload serializes its
+// semantically meaningful zeros ("cost":0, "frozen":false) explicitly.
 type Envelope struct {
 	V     int    `json:"v"`
 	OK    bool   `json:"ok"`
@@ -86,12 +85,19 @@ type CloakPayload struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// EpochPayload answers OpEpoch and OpRotate: the state of the live
-// re-clustering pipeline. For OpRotate, Epoch is the newly assigned
-// generation number (its build completes in the background).
+// EpochPayload answers OpEpoch, OpRotate and OpFreeze: the state of the
+// live re-clustering pipeline. For OpRotate, Epoch is the newly assigned
+// generation number (its build completes in the background); for
+// OpFreeze, the generation the freeze published.
 type EpochPayload struct {
 	Epoch     uint64 `json:"epoch"`
 	Published bool   `json:"published"`
+	// Unchanged reports a shard's rotate or freeze that found no new
+	// uploads: nothing was triggered, and Epoch is the serving
+	// generation (for a freeze, read once the builds queued before it
+	// have finished). A coordinator's rotation always advances and never
+	// sets it.
+	Unchanged bool   `json:"unchanged,omitempty"`
 	Pending   int    `json:"pending"`
 	Builds    uint64 `json:"builds"`
 	Swaps     uint64 `json:"swaps"`
@@ -123,8 +129,8 @@ type EpochPayload struct {
 	LastBuildUs float64 `json:"last_build_us"`
 }
 
-// StatsPayload answers OpStats. Frozen is always present — an unfrozen
-// server reports "frozen":false instead of dropping the field as v0 did.
+// StatsPayload answers OpStats. Frozen is always present: an unfrozen
+// server reports "frozen":false.
 type StatsPayload struct {
 	Users    int    `json:"users"`
 	Uploads  int    `json:"uploads"`

@@ -21,20 +21,10 @@ func ringPeers(n int) map[int32][]PeerRank {
 	return out
 }
 
-// TestV1ExplicitZeroFields is the regression test for the v0 omitempty
-// bug: a cached cloak (cost 0) and an unfrozen server (frozen false)
-// must serialize those fields explicitly in v1, where v0 silently
-// dropped them.
+// TestV1ExplicitZeroFields pins that payloads serialize their
+// meaningful zeros: a cached cloak (cost 0) and an unfrozen server
+// (frozen false) must keep those fields.
 func TestV1ExplicitZeroFields(t *testing.T) {
-	// First, pin down the v0 bug so the fix is legible: cost 0 vanishes.
-	v0, err := json.Marshal(Response{OK: true, Cluster: []int32{1, 2}, Cost: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(v0), `"cost"`) {
-		t.Fatalf("v0 unexpectedly serializes zero cost now: %s", v0)
-	}
-
 	env := Envelope{V: 1, OK: true, Cloak: &CloakPayload{Cluster: []int32{1, 2}, Cost: 0, Epoch: 3}}
 	raw, err := json.Marshal(env)
 	if err != nil {
@@ -101,7 +91,7 @@ func TestV1LifecycleOverTCP(t *testing.T) {
 		t.Errorf("rotate assigned epoch %d, want 1", rot.Epoch)
 	}
 	// Rotate is async; freeze is the synchronous barrier.
-	if _, err := c.Freeze(); err != nil && !strings.Contains(err.Error(), "already frozen") {
+	if _, err := c.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,27 +207,6 @@ func TestV1PolicyDrivenRebuildOverTCP(t *testing.T) {
 	}
 }
 
-// TestV0RequestsUnchanged: a legacy client line with no "v" field gets
-// the flat v0 response shape — no envelope, no payload objects.
-func TestV0RequestsUnchanged(t *testing.T) {
-	srv, err := New(WithNumUsers(8), WithK(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := srv.Handle(Request{Op: OpPing})
-	raw, err := json.Marshal(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), `"v":`) || strings.Contains(string(raw), `"cloak"`) {
-		t.Errorf("v0 response leaked v1 fields: %s", raw)
-	}
-	env := srv.HandleEnvelope(context.Background(), Request{V: 1, Op: OpPing})
-	if env.V != ProtocolVersion || !env.OK {
-		t.Errorf("v1 ping envelope = %+v", env)
-	}
-}
-
 // TestV1ProfileOverTCP drives the personalized-profile extension over
 // the wire: a v1 upload carries a profile object, cloak answers report
 // the effective anonymity level and the degraded flag, the epoch and
@@ -330,10 +299,10 @@ func TestV1ProfileOverTCP(t *testing.T) {
 }
 
 // TestV1ProfileStickyOverWire pins PROTOCOL.md's sticky-profile
-// contract at the wire layer: after an upload stores a profile, a v0
-// upload and a v1 upload that omit the profile object both leave it
-// untouched, and only the explicit empty object ("profile":{}) reverts
-// the user to the service defaults. This is the regression test for the
+// contract at the wire layer: after an upload stores a profile, an
+// upload that omits the profile object leaves it untouched, and only
+// the explicit empty object ("profile":{}) reverts the user to the
+// service defaults. This is the regression test for the
 // revert-on-omit bug where any profile-less re-upload silently lowered
 // a user's demanded anonymity floor back to the service default.
 func TestV1ProfileStickyOverWire(t *testing.T) {
@@ -384,23 +353,15 @@ func TestV1ProfileStickyOverWire(t *testing.T) {
 	}
 	assertFloor("after profiled upload", 5, 1)
 
-	// A v0 re-upload omits the profile: the stored floor must survive.
+	// A re-upload without a profile object: the stored floor must
+	// survive.
 	if err := c.Upload(0, peers[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	assertFloor("after v0 re-upload", 5, 1)
-
-	// A v1 re-upload without a profile object keeps it too.
-	if _, err := c.roundTripV1(Request{Op: OpUpload, User: 0, Peers: peers[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	assertFloor("after v1 profile-less re-upload", 5, 1)
+	assertFloor("after profile-less re-upload", 5, 1)
 
 	// Only the explicit empty object reverts.
 	if err := c.UploadProfile(0, peers[0], ProfileSpec{}); err != nil {

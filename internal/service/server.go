@@ -236,41 +236,22 @@ func (s *Server) acceptLoop(l net.Listener) {
 }
 
 // serveConn handles one client with the shared line loop (see
-// ServeLines): requests carrying "v":1 are answered with the v1
-// Envelope, the rest in the legacy shape.
+// ServeLines).
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	s.track(conn)
 	defer s.untrack(conn)
 	defer conn.Close()
-	ServeLines(ctx, conn, s.idleTimeout, s.reqMetrics, func(ctx context.Context, req Request) any {
-		if req.V >= 1 {
-			return s.HandleEnvelope(ctx, req)
-		}
-		return s.handleV0(ctx, req)
-	})
+	ServeLines(ctx, conn, s.idleTimeout, s.reqMetrics, s.HandleEnvelope)
 }
 
-// Handle processes one v0 request; exported so tests (and alternative
-// transports) can bypass TCP. Every request is timed and counted in the
-// server's metrics.
-func (s *Server) Handle(req Request) Response {
-	return s.handleV0(s.ctx, req)
-}
-
-func (s *Server) handleV0(ctx context.Context, req Request) Response {
-	start := time.Now()
-	ctx, sp := s.startRequestSpan(ctx, req.Op)
-	resp := s.dispatchV0(ctx, req)
-	s.finishRequestSpan(sp)
-	s.reqMetrics.Observe(string(req.Op), time.Since(start), resp.Error == "")
-	return resp
-}
-
-// HandleEnvelope processes one request and answers in the v1 format.
+// HandleEnvelope processes one parsed request; exported so tests (and
+// alternative transports) can bypass TCP. Every request is timed and
+// counted in the server's metrics. It answers whatever version req
+// carries: the version check is ServeLines'.
 func (s *Server) HandleEnvelope(ctx context.Context, req Request) Envelope {
 	start := time.Now()
 	ctx, sp := s.startRequestSpan(ctx, req.Op)
-	env := s.dispatchV1(ctx, req)
+	env := s.dispatch(ctx, req)
 	s.finishRequestSpan(sp)
 	s.reqMetrics.Observe(string(req.Op), time.Since(start), env.Error == "")
 	return env
@@ -294,75 +275,7 @@ func (s *Server) finishRequestSpan(sp *trace.Span) {
 	s.tracer.Record(sp)
 }
 
-func (s *Server) dispatchV0(ctx context.Context, req Request) Response {
-	switch req.Op {
-	case OpPing:
-		return Response{OK: true}
-	case OpUpload:
-		// v0 predates profiles; a nil Profile leaves any stored profile
-		// untouched, as client.go's plain Upload promises.
-		usp := trace.FromContext(ctx).Child("epoch.upload")
-		err := s.mgr.Upload(ctx, epoch.UploadRequest{User: req.User, Peers: req.Peers})
-		usp.End()
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true}
-	case OpUploadBatch:
-		// The batch shape only exists in v1; v0 clients predate it.
-		return Response{Error: `upload_batch requires "v":1`}
-	case OpFreeze:
-		gen, err := s.rotateAndWait(ctx)
-		if err != nil {
-			return Response{Error: freezeErr(err).Error()}
-		}
-		return Response{OK: true, Epoch: gen.Epoch, EdgeCount: gen.Edges}
-	case OpRotate:
-		ep, err := s.mgr.Rotate(ctx)
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true, Epoch: ep}
-	case OpCloak:
-		res, err := s.mgr.Cloak(ctx, req.User)
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true, Cluster: res.Cluster.Members, Cost: res.Cost, Epoch: res.Epoch}
-	case OpEpoch:
-		st := s.mgr.Status()
-		return Response{OK: true, Epoch: st.Epoch, Frozen: st.Published,
-			Clusters: st.Clusters, EdgeCount: st.Edges}
-	case OpStats:
-		st := s.mgr.Status()
-		snap := s.reqMetrics.Snapshot()
-		resp := Response{
-			OK:        true,
-			Users:     st.Users,
-			Uploads:   st.Uploads,
-			Frozen:    st.Published,
-			Epoch:     st.Epoch,
-			Clusters:  st.Clusters,
-			EdgeCount: st.Edges,
-			Requests:  snap.Total,
-			ReqErrors: snap.Errors,
-			LatP50us:  float64(snap.P50) / float64(time.Microsecond),
-			LatP95us:  float64(snap.P95) / float64(time.Microsecond),
-			LatP99us:  float64(snap.P99) / float64(time.Microsecond),
-		}
-		if len(snap.Ops) > 0 {
-			resp.OpCounts = make(map[string]uint64, len(snap.Ops))
-			for _, op := range snap.Ops {
-				resp.OpCounts[op.Op] = op.Count
-			}
-		}
-		return resp
-	default:
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-}
-
-func (s *Server) dispatchV1(ctx context.Context, req Request) Envelope {
+func (s *Server) dispatch(ctx context.Context, req Request) Envelope {
 	ok := Envelope{V: ProtocolVersion, OK: true}
 	switch req.Op {
 	case OpPing:
@@ -395,17 +308,12 @@ func (s *Server) dispatchV1(ctx context.Context, req Request) Envelope {
 		ok.Batch = &BatchPayload{Accepted: n}
 		return ok
 	case OpFreeze:
-		gen, err := s.rotateAndWait(ctx)
-		if err != nil {
-			return errEnvelope(freezeErr(err).Error())
-		}
-		st := s.mgr.Status()
-		st.Epoch, st.Edges, st.Clusters, st.Skipped = gen.Epoch, gen.Edges, gen.Clusters, gen.Skipped
-		st.ShardsTotal, st.ShardsRebuilt = gen.ShardsTotal, gen.ShardsRebuilt
-		ok.Epoch = epochPayload(st)
-		return ok
+		return s.freeze(ctx)
 	case OpRotate:
 		ep, err := s.mgr.Rotate(ctx)
+		if errors.Is(err, epoch.ErrNoNewUploads) {
+			return s.unchanged()
+		}
 		if err != nil {
 			return errEnvelope(err.Error())
 		}
@@ -437,24 +345,38 @@ func (s *Server) dispatchV1(ctx context.Context, req Request) Envelope {
 	}
 }
 
-// rotateAndWait is the synchronous freeze: trigger a rotation and block
-// until that generation (and anything queued before it) has published.
-func (s *Server) rotateAndWait(ctx context.Context) (*epoch.Generation, error) {
+// freeze is the synchronous rotate: trigger a rotation and answer once
+// that generation (and every build queued before it) has published,
+// with its epoch payload. With nothing new to build it waits for the
+// builds already queued instead, so either way the reply comes only
+// once every earlier upload's build has finished.
+func (s *Server) freeze(ctx context.Context) Envelope {
 	gen, err := s.mgr.RotateAndWait(ctx)
+	if errors.Is(err, epoch.ErrNoNewUploads) {
+		ssp := trace.FromContext(ctx).Child("epoch.sync")
+		err = s.mgr.Sync(ctx)
+		ssp.End()
+		if err != nil {
+			return errEnvelope(err.Error())
+		}
+		return s.unchanged()
+	}
 	if err != nil {
-		return nil, err
+		return errEnvelope(err.Error())
 	}
 	if gen.BuildErr != nil {
-		return nil, fmt.Errorf("build graph: %w", gen.BuildErr)
+		return errEnvelope(fmt.Sprintf("build graph: %v", gen.BuildErr))
 	}
-	return gen, nil
+	st := s.mgr.Status()
+	st.Epoch, st.Edges, st.Clusters, st.Skipped = gen.Epoch, gen.Edges, gen.Clusters, gen.Skipped
+	st.ShardsTotal, st.ShardsRebuilt = gen.ShardsTotal, gen.ShardsRebuilt
+	return Envelope{V: ProtocolVersion, OK: true, Epoch: epochPayload(st)}
 }
 
-// freezeErr maps pipeline errors onto the v0 freeze wording ("already
-// frozen") that legacy clients match on.
-func freezeErr(err error) error {
-	if errors.Is(err, epoch.ErrNoNewUploads) {
-		return fmt.Errorf("already frozen (no new uploads since the last epoch)")
-	}
-	return err
+// unchanged answers a rotate or freeze that found no new uploads: the
+// serving generation's epoch payload, flagged unchanged.
+func (s *Server) unchanged() Envelope {
+	p := epochPayload(s.mgr.Status())
+	p.Unchanged = true
+	return Envelope{V: ProtocolVersion, OK: true, Epoch: p}
 }

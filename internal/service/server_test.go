@@ -138,7 +138,7 @@ func TestAcceptLoopRecoversAfterErrors(t *testing.T) {
 	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
+	if _, err := client.Write([]byte(`{"v":1,"op":"ping"}` + "\n")); err != nil {
 		t.Fatalf("write to served conn: %v", err)
 	}
 	buf := make([]byte, 256)
@@ -227,12 +227,14 @@ func TestHandleRecordsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Handle(Request{Op: OpPing})
-	srv.Handle(Request{Op: OpUpload, User: 99}) // out of range: an error
-	stats := srv.Handle(Request{Op: OpStats})
-	if !stats.OK {
-		t.Fatalf("stats: %+v", stats)
+	ctx := context.Background()
+	srv.HandleEnvelope(ctx, Request{V: ProtocolVersion, Op: OpPing})
+	srv.HandleEnvelope(ctx, Request{V: ProtocolVersion, Op: OpUpload, User: 99}) // out of range: an error
+	env := srv.HandleEnvelope(ctx, Request{V: ProtocolVersion, Op: OpStats})
+	if !env.OK || env.Stats == nil {
+		t.Fatalf("stats: %+v", env)
 	}
+	stats := env.Stats
 	if stats.Requests != 2 {
 		t.Errorf("Requests = %d, want 2 (ping + failed upload; stats observes itself after)", stats.Requests)
 	}
@@ -251,7 +253,7 @@ func TestHandleRecordsMetrics(t *testing.T) {
 	}
 }
 
-// A malformed line must produce an error response on the same
+// A malformed line must produce an error envelope on the same
 // connection — and the connection must survive to serve the next
 // well-formed request.
 func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
@@ -275,7 +277,7 @@ func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
 	}
 	rd := bufio.NewReader(conn)
 
-	send := func(line string) Response {
+	send := func(line string) Envelope {
 		t.Helper()
 		if _, err := conn.Write([]byte(line + "\n")); err != nil {
 			t.Fatalf("write %q: %v", line, err)
@@ -284,11 +286,14 @@ func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read response to %q: %v", line, err)
 		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
+		var env Envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("bad response %q: %v", raw, err)
 		}
-		return resp
+		if env.V != ProtocolVersion {
+			t.Fatalf("response to %q = %s, want a v%d envelope", line, raw, ProtocolVersion)
+		}
+		return env
 	}
 
 	if resp := send(`this is not json`); resp.OK || resp.Error == "" {
@@ -298,7 +303,7 @@ func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
 		t.Fatalf("two values on one line: got %+v, want error response", resp)
 	}
 	// The connection is still alive and serves real requests.
-	if resp := send(`{"op":"ping"}`); !resp.OK {
+	if resp := send(`{"v":1,"op":"ping"}`); !resp.OK {
 		t.Fatalf("ping after malformed lines: %+v", resp)
 	}
 	// Malformed traffic is visible in the metrics.

@@ -89,7 +89,7 @@ func TestServerLifecycleOverTCP(t *testing.T) {
 	}
 
 	// Cloak before freeze must fail.
-	if _, _, err := c.Cloak(0); err == nil || !strings.Contains(err.Error(), "not frozen") {
+	if _, err := c.CloakV1(0); err == nil || !strings.Contains(err.Error(), "not frozen") {
 		t.Fatalf("cloak before freeze: %v", err)
 	}
 
@@ -98,31 +98,32 @@ func TestServerLifecycleOverTCP(t *testing.T) {
 			t.Fatalf("upload %d: %v", user, err)
 		}
 	}
-	edges, err := c.Freeze()
+	ep, err := c.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edges != g.NumEdges() {
-		t.Errorf("frozen edges = %d, want %d", edges, g.NumEdges())
+	if ep.Edges != g.NumEdges() || ep.Epoch != 1 || ep.Unchanged {
+		t.Errorf("freeze = %+v, want epoch 1 with %d edges", ep, g.NumEdges())
 	}
 
 	// First cloak costs the whole population; a member's repeat is free.
-	cluster, cost, err := c.Cloak(5)
+	first, err := c.CloakV1(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != g.NumVertices() {
-		t.Errorf("first cloak cost = %d, want %d", cost, g.NumVertices())
+	cluster := first.Cluster
+	if first.Cost != g.NumVertices() {
+		t.Errorf("first cloak cost = %d, want %d", first.Cost, g.NumVertices())
 	}
 	if len(cluster) < 4 {
 		t.Errorf("cluster = %v, want >= k members", cluster)
 	}
-	again, cost2, err := c.Cloak(cluster[0])
+	again, err := c.CloakV1(cluster[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost2 != 0 || !reflect.DeepEqual(again, cluster) {
-		t.Errorf("member repeat: cost=%d cluster=%v", cost2, again)
+	if again.Cost != 0 || !reflect.DeepEqual(again.Cluster, cluster) {
+		t.Errorf("member repeat: cost=%d cluster=%v", again.Cost, again.Cluster)
 	}
 
 	// The served clusters must match an in-process anonymizer run.
@@ -138,7 +139,7 @@ func TestServerLifecycleOverTCP(t *testing.T) {
 		t.Errorf("served cluster %v != reference %v", cluster, want.Members)
 	}
 
-	stats, err := c.Stats()
+	stats, err := c.StatsV1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +212,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	results := make(chan error, 20)
 	for i := 0; i < 20; i++ {
 		go func(u int32) {
-			_, _, err := c2Cloak(addr.String(), u)
-			results <- err
+			results <- c2Cloak(addr.String(), u)
 		}(int32(i * 7 % g.NumVertices()))
 	}
 	for i := 0; i < 20; i++ {
@@ -222,13 +222,14 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
-func c2Cloak(addr string, user int32) ([]int32, int, error) {
+func c2Cloak(addr string, user int32) error {
 	c, err := Dial(addr)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	defer c.Close()
-	return c.Cloak(user)
+	_, err = c.CloakV1(user)
+	return err
 }
 
 func TestServerValidation(t *testing.T) {
@@ -242,23 +243,28 @@ func TestServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := srv.Handle(Request{Op: "bogus"}); resp.OK || resp.Error == "" {
+	handle := func(req Request) Envelope {
+		req.V = ProtocolVersion
+		return srv.HandleEnvelope(context.Background(), req)
+	}
+	if resp := handle(Request{Op: "bogus"}); resp.OK || resp.Error == "" {
 		t.Errorf("unknown op: %+v", resp)
 	}
-	if resp := srv.Handle(Request{Op: OpUpload, User: 99}); resp.OK {
+	if resp := handle(Request{Op: OpUpload, User: 99}); resp.OK {
 		t.Error("out-of-range user accepted")
 	}
-	if resp := srv.Handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 99, Rank: 1}}}); resp.OK {
+	if resp := handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 99, Rank: 1}}}); resp.OK {
 		t.Error("out-of-range peer accepted")
 	}
-	if resp := srv.Handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 2, Rank: 0}}}); resp.OK {
+	if resp := handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 2, Rank: 0}}}); resp.OK {
 		t.Error("rank 0 accepted")
 	}
-	if resp := srv.Handle(Request{Op: OpFreeze}); !resp.OK {
+	if resp := handle(Request{Op: OpFreeze}); !resp.OK || resp.Epoch.Unchanged {
 		t.Errorf("freeze: %+v", resp)
 	}
-	if resp := srv.Handle(Request{Op: OpFreeze}); resp.OK {
-		t.Error("double freeze accepted")
+	// Nothing new since: the second freeze builds nothing and says so.
+	if resp := handle(Request{Op: OpFreeze}); !resp.OK || !resp.Epoch.Unchanged || resp.Epoch.Builds != 1 {
+		t.Errorf("double freeze: %+v, want ok and unchanged after 1 build", resp)
 	}
 }
 

@@ -185,6 +185,16 @@ echo "$kill_out" | grep -q 'unserved=0' \
 echo "$kill_out" | grep -q 'clean shutdown' \
     || { echo "kill smoke: shutdown did not complete:" >&2; echo "$kill_out" >&2; exit 1; }
 
+# Device-side demo smoke: cloakd -demo is the one shipped client that
+# uploads, freezes and cloaks against a fresh server over the wire
+# protocol, so a broken client method or reply shape fails here.
+echo "==> cloakd -demo smoke"
+demo_out=$(go run ./cmd/cloakd -demo -addr 127.0.0.1:0 -n 500 -k 5)
+echo "$demo_out" | grep -q 'demo: server built epoch 1 with' \
+    || { echo "demo smoke: no epoch 1 build reported:" >&2; echo "$demo_out" >&2; exit 1; }
+echo "$demo_out" | grep -q 'clustered with' \
+    || { echo "demo smoke: no cloak answered:" >&2; echo "$demo_out" >&2; exit 1; }
+
 # Admin endpoint smoke: start cloakd with an ephemeral admin port, curl
 # /metrics and /healthz, and shut it down. Skipped when curl is absent.
 if command -v curl >/dev/null 2>&1; then
