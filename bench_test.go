@@ -520,18 +520,19 @@ func BenchmarkEpochCloakDuringRebuild(b *testing.B) {
 
 // BenchmarkEpochIncrementalRebuild measures one epoch rebuild under
 // partial churn: each iteration re-uploads a fixed fraction of the
-// population, rotates, and waits for the generation to publish. "full"
-// disables the incremental path — every shard re-clusters from scratch
-// regardless of churn. "incremental" splices every clean shard from the
-// previous generation, so rebuild latency scales with the churned
-// fraction instead of the population. The full and incremental/N arms
-// churn whole WPG components of a fully uploaded population, so the
-// dirty set maps onto whole shards: the best case for splicing.
-// "shard/10pct" has the shape of one shard of a two-shard cluster
-// instead: the coordinator homes every other component elsewhere, so
-// half the ids are mirrors with empty rows, and each iteration moves a
-// fresh random 10% of the homed users, which dirties most of the
-// shard's real components.
+// population, rotates, and waits for the generation to publish.
+// "incremental" splices every clean shard from the previous generation,
+// so rebuild latency scales with the churned fraction instead of the
+// population. "full" times what it is measured against: the first build
+// of a fresh manager over the same uploads, where every shard clusters
+// from scratch regardless of churn (its set-up and uploads run outside
+// the timer). The full and incremental/N arms churn whole WPG
+// components of a fully uploaded population, so the dirty set maps onto
+// whole shards: the best case for splicing. "shard/10pct" has the shape
+// of one shard of a two-shard cluster instead: the coordinator homes
+// every other component elsewhere, so half the ids are mirrors with
+// empty rows, and each iteration moves a fresh random 10% of the homed
+// users, which dirties most of the shard's real components.
 func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 	pts := dataset.GaussianClusters(20000, 200, 0.004, 11)
 	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.008, MaxPeers: 10})
@@ -563,44 +564,36 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 		}
 		return users
 	}
-	run := func(b *testing.B, population []int32, churn func(i int) []int32, incremental bool) {
-		m, err := epoch.New(g.NumVertices(), epoch.WithK(10), epoch.WithIncremental(incremental))
+	// churned is u's list as iteration i re-uploads it: a real rank
+	// change every iteration.
+	churned := func(u int32, i int) []epoch.RankedPeer {
+		peers := append([]epoch.RankedPeer(nil), uploads[u]...)
+		if len(peers) > 0 {
+			peers[0].Rank += int32(1 + i%3)
+		}
+		return peers
+	}
+	ctx := context.Background()
+	// load starts a manager holding population's uploads, with the users
+	// in moved re-uploaded as iteration i changes them.
+	load := func(b *testing.B, population, moved []int32, i int) *epoch.Manager {
+		m, err := epoch.New(g.NumVertices(), epoch.WithK(10))
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer m.Close()
-		ctx := context.Background()
 		for _, v := range population {
 			if err := m.Upload(ctx, epoch.UploadRequest{User: v, Peers: uploads[v]}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, err := m.Rotate(ctx); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Sync(ctx); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, u := range churn(i) {
-				peers := append([]epoch.RankedPeer(nil), uploads[u]...)
-				if len(peers) > 0 {
-					peers[0].Rank += int32(1 + i%3) // a real rank change every iteration
-				}
-				if err := m.Upload(ctx, epoch.UploadRequest{User: u, Peers: peers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := m.Rotate(ctx); err != nil {
-				b.Fatal(err)
-			}
-			if err := m.Sync(ctx); err != nil {
+		for _, u := range moved {
+			if err := m.Upload(ctx, epoch.UploadRequest{User: u, Peers: churned(u, i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		gen := m.Current()
+		return m
+	}
+	report := func(b *testing.B, gen *epoch.Generation) {
 		if gen == nil || gen.BuildErr != nil {
 			b.Fatalf("final generation = %+v", gen)
 		}
@@ -608,6 +601,44 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 			b.ReportMetric(float64(gen.ShardsRebuilt), "shards_rebuilt")
 			b.ReportMetric(float64(gen.ShardsTotal), "shards_total")
 		}
+	}
+	incremental := func(b *testing.B, population []int32, churn func(i int) []int32) {
+		m := load(b, population, nil, 0)
+		defer m.Close()
+		if _, err := m.RotateAndWait(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		var gen *epoch.Generation
+		for i := 0; i < b.N; i++ {
+			for _, u := range churn(i) {
+				if err := m.Upload(ctx, epoch.UploadRequest{User: u, Peers: churned(u, i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var err error
+			if gen, err = m.RotateAndWait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		report(b, gen)
+	}
+	fromScratch := func(b *testing.B, population []int32, churn func(i int) []int32) {
+		var gen *epoch.Generation
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := load(b, population, churn(i), i)
+			b.StartTimer()
+			var err error
+			gen, err = m.RotateAndWait(ctx)
+			b.StopTimer()
+			m.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, gen)
 	}
 	all := make([]int32, g.NumVertices())
 	for i := range all {
@@ -625,11 +656,11 @@ func BenchmarkEpochIncrementalRebuild(b *testing.B) {
 		}
 		return out
 	}
-	b.Run("full/10pct", func(b *testing.B) { run(b, all, components(0.10), false) })
-	b.Run("incremental/1pct", func(b *testing.B) { run(b, all, components(0.01), true) })
-	b.Run("incremental/10pct", func(b *testing.B) { run(b, all, components(0.10), true) })
-	b.Run("incremental/50pct", func(b *testing.B) { run(b, all, components(0.50), true) })
-	b.Run("shard/10pct", func(b *testing.B) { run(b, homed, movers, true) })
+	b.Run("full/10pct", func(b *testing.B) { fromScratch(b, all, components(0.10)) })
+	b.Run("incremental/1pct", func(b *testing.B) { incremental(b, all, components(0.01)) })
+	b.Run("incremental/10pct", func(b *testing.B) { incremental(b, all, components(0.10)) })
+	b.Run("incremental/50pct", func(b *testing.B) { incremental(b, all, components(0.50)) })
+	b.Run("shard/10pct", func(b *testing.B) { incremental(b, homed, movers) })
 }
 
 // --- Component micro-benchmarks ----------------------------------------------

@@ -63,7 +63,6 @@ type config struct {
 	frac          float64
 	maxStale      time.Duration
 	traceCap      int
-	fullRebuild   bool
 	demo          bool
 	seed          int64
 	coordinator   bool
@@ -104,8 +103,8 @@ func (c config) validate() error {
 		if c.shardAddrs == "" && c.shards < 1 {
 			return fmt.Errorf("-shards must be >= 1 with -coordinator, got %d", c.shards)
 		}
-		if c.frac != 0 || c.maxStale != 0 || c.fullRebuild || c.traceCap != 0 {
-			return fmt.Errorf("-coordinator only routes; rebuild tuning flags (-rebuild-frac, -max-staleness, -full-rebuild, -trace) belong on the shard processes")
+		if c.frac != 0 || c.maxStale != 0 || c.traceCap != 0 {
+			return fmt.Errorf("-coordinator only routes; rebuild tuning flags (-rebuild-frac, -max-staleness, -trace) belong on the shard processes")
 		}
 	} else if c.shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs requires -coordinator")
@@ -130,7 +129,6 @@ func main() {
 	flag.Float64Var(&cfg.frac, "rebuild-frac", 0, "rebuild once this fraction of users changed (0 = disabled)")
 	flag.DurationVar(&cfg.maxStale, "max-staleness", 0, "rebuild when uploads have waited this long without another trigger (0 = disabled)")
 	flag.IntVar(&cfg.traceCap, "trace", 0, "record span trees for the most recent N requests/builds, served at /tracez (0 = off)")
-	flag.BoolVar(&cfg.fullRebuild, "full-rebuild", false, "rebuild every epoch from scratch instead of the incremental sharded path")
 	flag.BoolVar(&cfg.demo, "demo", false, "run a self-contained demo population against the server and exit")
 	flag.Int64Var(&cfg.seed, "seed", 42, "demo dataset seed")
 	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as a cluster coordinator routing to shards instead of a single anonymizer")
@@ -157,10 +155,7 @@ func run(cfg config) error {
 		service.WithNumUsers(cfg.n),
 		service.WithK(cfg.k),
 		service.WithWorkers(cfg.workers),
-		service.WithEpochOptions(
-			epoch.WithPolicy(policy),
-			epoch.WithIncremental(!cfg.fullRebuild),
-		),
+		service.WithEpochOptions(epoch.WithPolicy(policy)),
 		service.WithMetrics(em),
 	}
 	if cfg.traceCap > 0 {

@@ -30,8 +30,13 @@
 // byte-identical transcript on every run, which is what lets the
 // internal/sim invariant harness drive the pipeline. The shard
 // accounting (shards=rebuilt/total) is part of the transcript: it too
-// is a pure function of the upload sequence and the incremental
-// setting.
+// is a pure function of the upload sequence.
+//
+// A manager holds only the serving generation and the state the next
+// build carries forward. Each epoch's clustering is self-contained
+// (Theorem 4.4), so no past generation ever answers a cloak; the
+// transcript is the record of past epochs, and a caller that checks
+// generations one by one keeps the one each RotateAndWait returns.
 package epoch
 
 import (
@@ -205,7 +210,8 @@ type Generation struct {
 	// ShardsTotal and ShardsRebuilt are the incremental rebuild's shard
 	// accounting: the WPG's connected-component count and how many of
 	// those components actually re-ran clustering (the rest spliced
-	// their clusters from the previous build). A full rebuild reports
+	// their clusters from the previous build). A build from scratch —
+	// the first one, or the one after a failed build — reports
 	// ShardsRebuilt == ShardsTotal. Both are deterministic functions of
 	// the upload sequence, so they appear in the transcript.
 	ShardsTotal   int
@@ -286,15 +292,13 @@ var (
 // draining a serial queue, and Cloak reads the published generation
 // through an atomic pointer without taking any lock.
 type Manager struct {
-	numUsers    int
-	k           int
-	workers     int
-	policy      Policy
-	histCap     int
-	incremental bool
-	em          *metrics.EpochMetrics
-	tr          *trace.Recorder
-	areaEst     func(members []int32) (float64, bool)
+	numUsers int
+	k        int
+	workers  int
+	policy   Policy
+	em       *metrics.EpochMetrics
+	tr       *trace.Recorder
+	areaEst  func(members []int32) (float64, bool)
 
 	// sem is a one-slot semaphore serving as the manager lock; a
 	// channel rather than a sync.Mutex so Upload/Rotate/Sync can honor
@@ -323,7 +327,6 @@ type Manager struct {
 	building     bool
 	closed       bool
 	idle         chan struct{} // closed while no build is queued or running
-	history      []*Generation
 	transcript   []string
 	builds       uint64
 	swaps        uint64
@@ -370,8 +373,8 @@ type shardResult struct {
 // from each vertex to the smallest member of its component. That key
 // stays valid for every component a later build carries over, so the
 // index is patched only where components were recomputed. None of this
-// lives on the Generation: history keeps generations, and only the
-// builder needs the carried indices.
+// lives on the Generation: callers may keep a generation after it stops
+// serving, and only the builder needs the carried indices.
 type builderState struct {
 	graph  *wpg.Graph
 	comps  [][]int32
@@ -392,15 +395,6 @@ func WithWorkers(n int) Option { return func(m *Manager) { m.workers = n } }
 // WithPolicy sets the automatic rebuild policy (default: manual only).
 func WithPolicy(p Policy) Option { return func(m *Manager) { m.policy = p } }
 
-// WithIncremental toggles incremental sharded rebuilds (default on).
-// When on, a rebuild recomputes WPG edges only around users whose
-// rankings changed and re-clusters only the connected components those
-// changes touched, splicing every untouched component's clusters from
-// the previous build. The published generations are bit-identical to
-// from-scratch rebuilds either way; only the transcript's
-// shards=rebuilt/total accounting differs.
-func WithIncremental(on bool) Option { return func(m *Manager) { m.incremental = on } }
-
 // WithMetrics attaches epoch metrics (nil is fine — all hooks are
 // nil-safe).
 func WithMetrics(em *metrics.EpochMetrics) Option { return func(m *Manager) { m.em = em } }
@@ -408,10 +402,6 @@ func WithMetrics(em *metrics.EpochMetrics) Option { return func(m *Manager) { m.
 // WithTraceRecorder attaches a recorder that receives every completed
 // build's span tree (nil is fine — recording is nil-safe).
 func WithTraceRecorder(r *trace.Recorder) Option { return func(m *Manager) { m.tr = r } }
-
-// WithHistoryLimit caps how many completed generations History retains
-// (default 128; the transcript is never truncated).
-func WithHistoryLimit(n int) Option { return func(m *Manager) { m.histCap = n } }
 
 // WithAreaEstimator attaches the cloak-area estimator the MaxArea
 // enforcement path needs (default nil: area bounds are not evaluated
@@ -433,8 +423,6 @@ func New(numUsers int, opts ...Option) (*Manager, error) {
 	m := &Manager{
 		numUsers:    numUsers,
 		k:           10,
-		histCap:     128,
-		incremental: true,
 		uploads:     make(map[int32][]RankedPeer),
 		changed:     make(map[int32]struct{}),
 		dirty:       make(map[int32]struct{}),
@@ -454,9 +442,6 @@ func New(numUsers int, opts ...Option) (*Manager, error) {
 	}
 	if m.policy.MaxStaleness < 0 {
 		return nil, fmt.Errorf("epoch: MaxStaleness %v < 0", m.policy.MaxStaleness)
-	}
-	if m.histCap < 1 {
-		m.histCap = 1
 	}
 	if m.policy.MaxStaleness > 0 {
 		m.startStalenessLocked() // no concurrency before New returns
@@ -596,9 +581,6 @@ func (m *Manager) NumUsers() int { return m.numUsers }
 
 // Policy returns the rebuild policy.
 func (m *Manager) Policy() Policy { return m.policy }
-
-// Incremental reports whether incremental sharded rebuilds are enabled.
-func (m *Manager) Incremental() bool { return m.incremental }
 
 // Upload folds one user's ranked peer list and privacy profile into the
 // next epoch's input and fires the rebuild policy if its threshold is
@@ -765,11 +747,12 @@ func (m *Manager) Rotate(ctx context.Context) (uint64, error) {
 // RotateAndWait is the synchronous freeze: Rotate, then wait for that
 // rotation's own build, and return its generation — published, or
 // carrying BuildErr. The generation comes from the rotation itself, so
-// builds queued behind it cannot trim it out of History first. Builds
-// run in trigger order, so every earlier epoch has finished as well;
-// later triggers are not waited for. The two phases report as
-// "epoch.rotate" and "epoch.sync" children of the span on ctx. If Close
-// drops the queued build, RotateAndWait returns ErrClosed.
+// it is this rotation's own even when a build queued behind it has
+// already replaced it as the serving one. Builds run in trigger order,
+// so every earlier epoch has finished as well; later triggers are not
+// waited for. The two phases report as "epoch.rotate" and "epoch.sync"
+// children of the span on ctx. If Close drops the queued build,
+// RotateAndWait returns ErrClosed.
 func (m *Manager) RotateAndWait(ctx context.Context) (*Generation, error) {
 	rsp := trace.FromContext(ctx).Child("epoch.rotate")
 	gen, err := m.rotate(ctx)
@@ -905,9 +888,7 @@ func (m *Manager) build(job buildJob) {
 			m.profileMeta(gen, job.profiles, res.clusters)
 			m.em.ObserveShards(res.total, res.rebuilt)
 			m.em.ObserveProfiles(gen.Profiled, gen.Degraded)
-			if m.incremental {
-				next = res.state
-			}
+			next = res.state
 		}
 	}
 	// A failed build drops the carried-forward state: the next job's
@@ -924,18 +905,15 @@ func (m *Manager) build(job buildJob) {
 	m.builds++
 	m.lastBuildDur = gen.BuildDuration
 	m.transcript = append(m.transcript, gen.transcriptLine())
-	m.history = append(m.history, gen)
-	if len(m.history) > m.histCap {
-		m.history = m.history[len(m.history)-m.histCap:]
-	}
 	if err == nil {
+		// Publish: from here on every Cloak reads this generation. The
+		// store shares the critical section with the counters, so Status
+		// never pairs this build's swap count with the previous epoch.
 		m.swaps++
+		m.cur.Store(gen)
 	}
 	m.unlock()
-
 	if err == nil {
-		// Publish: from here on every Cloak reads this generation.
-		m.cur.Store(gen)
 		m.em.ObserveSwap()
 	}
 	psp.End()
@@ -1016,12 +994,10 @@ func (m *Manager) clusterShards(ctx context.Context, g *wpg.Graph, prev *builder
 		for i := range rebuild {
 			rebuild[i] = i
 		}
-		if m.incremental {
-			st.compOf = make([]int32, g.NumVertices())
-			for _, members := range comps {
-				for _, v := range members {
-					st.compOf[v] = members[0]
-				}
+		st.compOf = make([]int32, g.NumVertices())
+		for _, members := range comps {
+			for _, v := range members {
+				st.compOf[v] = members[0]
 			}
 		}
 	}
@@ -1063,9 +1039,7 @@ func (m *Manager) clusterShards(ctx context.Context, g *wpg.Graph, prev *builder
 	slices.SortFunc(out.clusters, func(a, b *core.Cluster) int {
 		return cmp.Compare(a.Members[0], b.Members[0])
 	})
-	if m.incremental {
-		out.state = st
-	}
+	out.state = st
 	return out
 }
 
@@ -1256,14 +1230,6 @@ func (m *Manager) Close() {
 	}
 }
 
-// History returns the completed generations in epoch order (capped by
-// WithHistoryLimit).
-func (m *Manager) History() []*Generation {
-	m.lock()
-	defer m.unlock()
-	return append([]*Generation(nil), m.history...)
-}
-
 // Transcript returns the deterministic epoch transcript: one line per
 // completed build, in epoch order. Call Sync first for a complete view.
 func (m *Manager) Transcript() []string {
@@ -1308,9 +1274,9 @@ type Status struct {
 
 // Status captures the pipeline state.
 func (m *Manager) Status() Status {
-	gen := m.cur.Load()
 	m.lock()
 	defer m.unlock()
+	gen := m.cur.Load() // under the lock, where build publishes and counts together
 	st := Status{
 		Users:               m.numUsers,
 		Uploads:             len(m.uploads),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -503,9 +504,12 @@ func TestConcurrentUploadsAndCloaksAcrossSwaps(t *testing.T) {
 	t.Logf("%d cloaks served across %d epochs (%d builds)", served.Load(), maxEpoch.Load(), st.Builds)
 }
 
-func TestHistoryCapAndStatus(t *testing.T) {
+// TestStatusAfterRotations: after four rotations the transcript holds
+// all four lines and Status reports the fourth epoch, every build a
+// swap, and nothing pending.
+func TestStatusAfterRotations(t *testing.T) {
 	const n = 6
-	m, err := New(n, WithK(2), WithHistoryLimit(2))
+	m, err := New(n, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,10 +530,6 @@ func TestHistoryCapAndStatus(t *testing.T) {
 	if err := m.Sync(bg); err != nil {
 		t.Fatal(err)
 	}
-	if h := m.History(); len(h) != 2 || h[1].Epoch != 4 {
-		t.Fatalf("history = %d entries, last %+v", len(h), h[len(h)-1])
-	}
-	// The transcript is never truncated.
 	if tr := m.Transcript(); len(tr) != 4 {
 		t.Fatalf("transcript = %d lines, want 4", len(tr))
 	}
@@ -539,6 +539,115 @@ func TestHistoryCapAndStatus(t *testing.T) {
 	}
 	if st.Policy.String() != "manual" {
 		t.Errorf("policy string = %q", st.Policy.String())
+	}
+}
+
+// TestStatusEpochMatchesCounts pins that Status reads a build's
+// generation and its counters together. With no build failing, epoch N
+// is the N-th build and the N-th swap, so every Status — including one
+// read while a build publishes — must report Epoch == Swaps == Builds.
+func TestStatusEpochMatchesCounts(t *testing.T) {
+	const n, rotations = 60, 500
+	m, err := New(n, WithK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	uploadRing(t, m, n)
+	ring := ringUploads(n)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var reads, torn atomic.Int64
+	var first atomic.Pointer[Status]
+	for w := 0; w < 2; w++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := m.Status()
+				reads.Add(1)
+				if st.Epoch != st.Swaps || st.Swaps != st.Builds {
+					torn.Add(1)
+					first.CompareAndSwap(nil, &st)
+				}
+			}
+		}()
+	}
+	var rotateErr error
+	for r := 0; r < rotations && rotateErr == nil; r++ {
+		if r > 0 {
+			peers := append([]RankedPeer(nil), ring[0]...)
+			peers[0].Rank = int32(1 + r%2) // a real change every rotation
+			rotateErr = m.Upload(bg, UploadRequest{User: 0, Peers: peers})
+		}
+		if rotateErr == nil {
+			_, rotateErr = m.RotateAndWait(bg)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if rotateErr != nil {
+		t.Fatal(rotateErr)
+	}
+	if st := first.Load(); st != nil {
+		t.Fatalf("%d of %d Status reads paired an epoch with another build's counts, first: epoch=%d swaps=%d builds=%d",
+			torn.Load(), reads.Load(), st.Epoch, st.Swaps, st.Builds)
+	}
+}
+
+// TestLiveHeapFlatAcrossBuilds pins that a manager keeps nothing per
+// build beyond its transcript line: through 200 builds of a churning
+// 2,000-user population, the live heap after build 200 may exceed the
+// one after build 40 by at most 1 MiB. A manager that retains past
+// generations grows by each one's graph and clustering.
+func TestLiveHeapFlatAcrossBuilds(t *testing.T) {
+	const rings, sz, builds = 200, 10, 200
+	const n = rings * sz
+	m, err := New(n, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sc := newChurnScenario(5, rings, sz)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	users := make([]int32, n)
+	for i := range users {
+		users[i] = int32(i)
+	}
+	var early uint64
+	for b := 1; b <= builds; b++ {
+		for _, u := range users {
+			if err := m.Upload(bg, UploadRequest{User: u, Peers: sc.lists[u]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen, err := m.RotateAndWait(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen.BuildErr != nil {
+			t.Fatalf("build %d: %v", b, gen.BuildErr)
+		}
+		if b == 40 {
+			early = liveHeap()
+		}
+		users = sc.tick()
+	}
+	late := liveHeap()
+	t.Logf("live heap after build 40: %d KB, after build %d: %d KB", early>>10, builds, late>>10)
+	if late > early+1<<20 {
+		t.Fatalf("live heap grew from %d KB after build 40 to %d KB after build %d", early>>10, late>>10, builds)
 	}
 }
 

@@ -34,12 +34,12 @@ func TestProfileDifferential(t *testing.T) {
 func testProfileDefaultBitIdentical(t *testing.T) {
 	const rings, sz, ticks = 5, 8, 4
 	const n = rings * sz
-	plain, err := New(n, WithK(3), WithHistoryLimit(ticks+2))
+	plain, err := New(n, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	neutral, err := New(n, WithK(3), WithHistoryLimit(ticks+2))
+	neutral, err := New(n, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,7 @@ func testProfileDefaultBitIdentical(t *testing.T) {
 
 	sc := newChurnScenario(77, rings, sz)
 	rng := rand.New(rand.NewSource(78))
+	var ph, nh []*Generation
 	feed := func(users []int32) {
 		for _, u := range users {
 			if err := plain.Upload(bg, UploadRequest{User: u, Peers: sc.lists[u]}); err != nil {
@@ -59,12 +60,15 @@ func testProfileDefaultBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := plain.Rotate(bg); err != nil {
+		pg, err := plain.RotateAndWait(bg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := neutral.Rotate(bg); err != nil {
+		ng, err := neutral.RotateAndWait(bg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ph, nh = append(ph, pg), append(nh, ng)
 	}
 	all := make([]int32, n)
 	for i := range all {
@@ -74,17 +78,7 @@ func testProfileDefaultBitIdentical(t *testing.T) {
 	for tick := 0; tick < ticks; tick++ {
 		feed(sc.tick())
 	}
-	if err := plain.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-	if err := neutral.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
 
-	ph, nh := plain.History(), neutral.History()
-	if len(ph) != len(nh) {
-		t.Fatalf("%d plain generations vs %d neutral", len(ph), len(nh))
-	}
 	for i := range ph {
 		// Meta/profile accounting legitimately differ (the neutral run
 		// stores profiles), so compare the clustering itself.
@@ -132,7 +126,7 @@ func testProfileHeterogeneousMaxKi(t *testing.T) {
 	const k = 3
 	raisedSomewhere := false
 	for seed := int64(0); seed < seeds; seed++ {
-		m, err := New(n, WithK(k), WithHistoryLimit(ticks+2))
+		m, err := New(n, WithK(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +134,7 @@ func testProfileHeterogeneousMaxKi(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 501))
 		profs := make(map[int32]core.Profile)
 		var snaps []map[int32]core.Profile
+		var hist []*Generation
 
 		churnProfile := func(u int32) {
 			switch rng.Intn(4) {
@@ -167,9 +162,11 @@ func testProfileHeterogeneousMaxKi(t *testing.T) {
 				}
 			}
 			snaps = append(snaps, snap)
-			if _, err := m.Rotate(bg); err != nil {
+			gen, err := m.RotateAndWait(bg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			hist = append(hist, gen)
 		}
 
 		all := make([]int32, n)
@@ -180,14 +177,7 @@ func testProfileHeterogeneousMaxKi(t *testing.T) {
 		for tick := 0; tick < ticks; tick++ {
 			feed(sc.tick())
 		}
-		if err := m.Sync(bg); err != nil {
-			t.Fatal(err)
-		}
 
-		hist := m.History()
-		if len(hist) != len(snaps) {
-			t.Fatalf("seed %d: %d generations vs %d profile snapshots", seed, len(hist), len(snaps))
-		}
 		for i, gen := range hist {
 			if gen.BuildErr != nil {
 				t.Fatalf("seed %d epoch %d: build failed: %v", seed, gen.Epoch, gen.BuildErr)

@@ -8,17 +8,16 @@ import (
 	"nonexposure/internal/epoch"
 )
 
-// TestFreezeSurvivesHistoryTrim is the regression test for a freeze
-// that used to look its own epoch up in History after Sync: a trigger
-// landing while the freeze's epoch built made Sync wait for that build
-// too, and with WithHistoryLimit(1) the second build evicted the
-// freeze's generation ("epoch 1 missing from history"). The freeze must
-// answer with its own epoch whatever queues behind it.
-func TestFreezeSurvivesHistoryTrim(t *testing.T) {
+// TestFreezeAnswersItsOwnEpoch: a trigger landing while a freeze's
+// epoch builds queues a second build behind it, which may publish
+// before the freeze replies. The freeze must still answer with its own
+// epoch, taken from the generation its rotation built, not with
+// whatever is serving by then.
+func TestFreezeAnswersItsOwnEpoch(t *testing.T) {
 	const n, ring = 20000, 50
 	ctx := context.Background()
 	for attempt := 0; attempt < 3; attempt++ {
-		srv, err := New(WithNumUsers(n), WithK(5), WithEpochOptions(epoch.WithHistoryLimit(1)))
+		srv, err := New(WithNumUsers(n), WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}

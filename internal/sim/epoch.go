@@ -68,24 +68,25 @@ func GenerateProfiledEpochScenario(seed int64) EpochScenario {
 	return sc
 }
 
-// EpochReport is the outcome of one scenario: every published
-// generation (graph, registry, bookkeeping) and the deterministic
-// transcript.
+// EpochReport is the outcome of one scenario: every built generation
+// (graph, registry, bookkeeping), each kept as its rotation returned
+// it, and the deterministic transcript.
 type EpochReport struct {
 	Scenario    EpochScenario
 	Generations []*epoch.Generation
 	Transcript  []string
 }
 
-// RunEpochScenario executes the scenario and returns the report. The
-// pipeline's background builds are fully drained before returning.
+// RunEpochScenario executes the scenario and returns the report. Every
+// rotation waits for its own build, so nothing is left building when it
+// returns.
 func RunEpochScenario(sc EpochScenario) (*EpochReport, error) {
 	pts := dataset.GaussianClusters(sc.NumUsers, 6, 0.02, sc.Seed)
 	model, err := mobility.NewLocalWander(pts, scenarioDelta/2, scenarioDelta/8, scenarioDelta/4, sc.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := epoch.New(sc.NumUsers, epoch.WithK(sc.K), epoch.WithHistoryLimit(sc.Ticks+2))
+	mgr, err := epoch.New(sc.NumUsers, epoch.WithK(sc.K))
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +115,11 @@ func RunEpochScenario(sc EpochScenario) (*EpochReport, error) {
 	if err := upload(all); err != nil {
 		return nil, err
 	}
-	if _, err := mgr.Rotate(ctx); err != nil {
+	gen, err := mgr.RotateAndWait(ctx)
+	if err != nil {
 		return nil, err
 	}
+	gens := []*epoch.Generation{gen}
 
 	rng := rand.New(rand.NewSource(sc.Seed + 2))
 	perTick := int(sc.Frac * float64(sc.NumUsers))
@@ -133,16 +136,18 @@ func RunEpochScenario(sc EpochScenario) (*EpochReport, error) {
 		if err := upload(users); err != nil {
 			return nil, err
 		}
-		if _, err := mgr.Rotate(ctx); err != nil && err != epoch.ErrNoNewUploads {
+		gen, err := mgr.RotateAndWait(ctx)
+		if err == epoch.ErrNoNewUploads {
+			continue
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	if err := mgr.Sync(ctx); err != nil {
-		return nil, err
+		gens = append(gens, gen)
 	}
 	return &EpochReport{
 		Scenario:    sc,
-		Generations: mgr.History(),
+		Generations: gens,
 		Transcript:  mgr.Transcript(),
 	}, nil
 }

@@ -8,7 +8,8 @@ import (
 // TestEpochScenariosHoldInvariants runs a spread of seeded mobile-churn
 // scenarios through the epoch pipeline and asserts k-anonymity,
 // reciprocity, coverage, and the isolation condition hold within every
-// published generation independently.
+// published generation independently. Every transcript line must have
+// its generation in the report, so no build goes unchecked.
 func TestEpochScenariosHoldInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		sc := GenerateEpochScenario(seed)
@@ -18,6 +19,9 @@ func TestEpochScenariosHoldInvariants(t *testing.T) {
 		}
 		if len(rep.Generations) < 2 {
 			t.Errorf("%s: only %d generations; churn should rotate more", sc.Name, len(rep.Generations))
+		}
+		if len(rep.Generations) != len(rep.Transcript) {
+			t.Errorf("%s: %d generations checked for %d transcript lines", sc.Name, len(rep.Generations), len(rep.Transcript))
 		}
 		if v := rep.Violations(); len(v) > 0 {
 			t.Errorf("%s violated:\n  %s\n  transcript:\n  %s",

@@ -32,6 +32,15 @@ if grep -rn "NoCtx" --include='*.go' .; then
     exit 1
 fi
 
+# A manager holds only its serving generation and builds one way: the
+# history ring, its cap, the switch to from-scratch rebuilds and the
+# cloakd flag for it were deleted, and none may come back.
+echo "==> no epoch history ring or full-rebuild switch"
+if grep -rnE 'WithHistoryLimit|WithIncremental|\.History\(\)|full-rebuild' --include='*.go' .; then
+    echo "removed epoch API found (keep the generation RotateAndWait returns; builds are always incremental)" >&2
+    exit 1
+fi
+
 # The epoch upload API takes an UploadRequest struct; the old
 # positional (ctx, user, peers) signature is gone and must stay gone.
 # Positional calls have a third argument; struct-based calls pass
@@ -90,8 +99,9 @@ echo "==> go test -bench=BenchmarkEpochIncrementalRebuild -benchtime=1x (smoke)"
 go test -bench='^BenchmarkEpochIncrementalRebuild$' -benchtime=1x -run '^$' .
 
 # The copy-on-write contract, by name and under the race detector:
-# incremental generations equal full ones (clusters and every adjacency
-# row, order and length included), the graph-level row differential
+# incremental generations equal a fresh manager's first build over the
+# same lists (clusters and every adjacency row, order and length
+# included), the graph-level row differential
 # over messy upload lists, and no build ever writes into a row or
 # member list an earlier generation published, with readers running.
 echo "==> go test -race -run=incremental row differentials + immutability"
