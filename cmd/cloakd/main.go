@@ -109,10 +109,10 @@ func (c config) validate() error {
 	} else if c.shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs requires -coordinator")
 	}
-	if c.failoverAfter < 0 {
-		return fmt.Errorf("-failover-after must be >= 0, got %v", c.failoverAfter)
+	if c.failoverAfter <= 0 {
+		return fmt.Errorf("-failover-after must be > 0, got %v", c.failoverAfter)
 	}
-	if c.failoverAfter > 0 && !c.coordinator {
+	if c.failoverAfter != cluster.DefaultDeadAfter && !c.coordinator {
 		return fmt.Errorf("-failover-after requires -coordinator")
 	}
 	return nil
@@ -134,7 +134,7 @@ func main() {
 	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as a cluster coordinator routing to shards instead of a single anonymizer")
 	flag.IntVar(&cfg.shards, "shards", 2, "in-process shard count with -coordinator (ignored when -shard-addrs is given)")
 	flag.StringVar(&cfg.shardAddrs, "shard-addrs", "", "comma-separated addresses of externally started cloakd shards to route to (with -coordinator)")
-	flag.DurationVar(&cfg.failoverAfter, "failover-after", 0, "declare a failing shard dead after this long and re-home its users onto survivors at the next rotation (0 = fail-over disabled; with -coordinator)")
+	flag.DurationVar(&cfg.failoverAfter, "failover-after", cluster.DefaultDeadAfter, "with -coordinator: declare a shard that has failed this long dead at the next rotation and re-home its users onto survivors (must be > 0)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "cloakd:", err)
@@ -259,12 +259,10 @@ func runCoordinator(cfg config) error {
 		cluster.WithK(cfg.k),
 		cluster.WithShardAddrs(addrs...),
 		cluster.WithClusterMetrics(cm),
+		cluster.WithDeadAfter(cfg.failoverAfter),
 	}
 	if cfg.everyN > 0 {
 		opts = append(opts, cluster.WithEveryUploads(cfg.everyN))
-	}
-	if cfg.failoverAfter > 0 {
-		opts = append(opts, cluster.WithFailover(cluster.Failover{DeadAfter: cfg.failoverAfter}))
 	}
 	coord, err := cluster.New(opts...)
 	if err != nil {

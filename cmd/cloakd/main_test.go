@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nonexposure/internal/cluster"
 )
 
 func TestConfigValidate(t *testing.T) {
-	valid := config{addr: ":0", n: 100, k: 10}
+	valid := config{addr: ":0", n: 100, k: 10, failoverAfter: cluster.DefaultDeadAfter}
 	tests := []struct {
 		name    string
 		mutate  func(*config)
@@ -28,7 +30,9 @@ func TestConfigValidate(t *testing.T) {
 		{"max-staleness on", func(c *config) { c.maxStale = 30 * time.Second }, ""},
 		{"coordinator with failover", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = time.Second }, ""},
 		{"negative failover-after", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = -time.Second },
-			"-failover-after must be >= 0"},
+			"-failover-after must be > 0"},
+		{"zero failover-after", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = 0 },
+			"-failover-after must be > 0"},
 		{"failover-after without coordinator", func(c *config) { c.failoverAfter = time.Second },
 			"-failover-after requires -coordinator"},
 	}

@@ -112,10 +112,10 @@ func (c simConfig) validate() error {
 			return fmt.Errorf("-shards must be >= 1 with -cluster, got %d", c.shards)
 		}
 	}
-	if c.failoverAfter < 0 {
-		return fmt.Errorf("-failover-after must be >= 0, got %v", c.failoverAfter)
+	if c.failoverAfter <= 0 {
+		return fmt.Errorf("-failover-after must be > 0, got %v", c.failoverAfter)
 	}
-	if c.failoverAfter > 0 && !c.cluster {
+	if c.failoverAfter != cluster.DefaultDeadAfter && !c.cluster {
 		return fmt.Errorf("-failover-after requires -cluster")
 	}
 	if c.killShard >= 0 {
@@ -127,9 +127,6 @@ func (c simConfig) validate() error {
 		}
 		if c.killShard >= c.shards {
 			return fmt.Errorf("-kill-shard %d out of range [0,%d)", c.killShard, c.shards)
-		}
-		if c.failoverAfter <= 0 {
-			return fmt.Errorf("-kill-shard requires -failover-after > 0 (the run must recover)")
 		}
 	}
 	if c.profiles && (c.load > 0 || c.churn > 0 || c.faults > 0) {
@@ -210,7 +207,7 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 2, "shard count for -cluster")
 	flag.StringVar(&cfg.cloakdBin, "cloakd-bin", "", "path to a cloakd binary for -cluster: spawn shards as separate OS processes (empty = in-process shards)")
 	flag.IntVar(&cfg.killShard, "kill-shard", -1, "with -cluster: kill this shard after the first epoch and require fail-over to recover every user (-1 = off)")
-	flag.DurationVar(&cfg.failoverAfter, "failover-after", 0, "with -cluster: declare a failing shard dead after this long and re-home its users onto survivors (0 = fail-over disabled)")
+	flag.DurationVar(&cfg.failoverAfter, "failover-after", cluster.DefaultDeadAfter, "with -cluster: declare a shard that has failed this long dead at the next rotation and re-home its users onto survivors (must be > 0)")
 	flag.Parse()
 	err := cfg.validate()
 	if err == nil {
@@ -862,9 +859,7 @@ func runCluster(cfg simConfig) error {
 		cluster.WithShardAddrs(cluster.Addrs(shards)...),
 		cluster.WithKeys(keys),
 		cluster.WithClusterMetrics(cm),
-	}
-	if cfg.failoverAfter > 0 {
-		copts = append(copts, cluster.WithFailover(cluster.Failover{DeadAfter: cfg.failoverAfter}))
+		cluster.WithDeadAfter(cfg.failoverAfter),
 	}
 	coord, err := cluster.New(copts...)
 	if err != nil {

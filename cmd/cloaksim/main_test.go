@@ -4,10 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"nonexposure/internal/cluster"
 )
 
 func TestSimConfigValidate(t *testing.T) {
-	valid := simConfig{n: 5000, k: 10, workers: 16, churnFrac: 0.2, nearby: 3, killShard: -1}
+	valid := simConfig{n: 5000, k: 10, workers: 16, churnFrac: 0.2, nearby: 3, killShard: -1, failoverAfter: cluster.DefaultDeadAfter}
 	tests := []struct {
 		name    string
 		mutate  func(*simConfig)
@@ -47,7 +49,9 @@ func TestSimConfigValidate(t *testing.T) {
 			"-profiles cannot be combined"},
 		{"cluster with failover", func(c *simConfig) { c.cluster = true; c.shards = 2; c.failoverAfter = 1e9 }, ""},
 		{"negative failover-after", func(c *simConfig) { c.cluster = true; c.shards = 2; c.failoverAfter = -1 },
-			"-failover-after must be >= 0"},
+			"-failover-after must be > 0"},
+		{"zero failover-after", func(c *simConfig) { c.cluster = true; c.shards = 2; c.failoverAfter = 0 },
+			"-failover-after must be > 0"},
 		{"failover-after without cluster", func(c *simConfig) { c.failoverAfter = 1e9 },
 			"-failover-after requires -cluster"},
 		{"kill-shard drill", func(c *simConfig) { c.cluster = true; c.shards = 2; c.killShard = 1; c.failoverAfter = 1e9 }, ""},
@@ -57,8 +61,8 @@ func TestSimConfigValidate(t *testing.T) {
 			"-kill-shard needs -shards >= 2"},
 		{"kill-shard out of range", func(c *simConfig) { c.cluster = true; c.shards = 2; c.killShard = 2; c.failoverAfter = 1e9 },
 			"out of range"},
-		{"kill-shard without failover", func(c *simConfig) { c.cluster = true; c.shards = 2; c.killShard = 1 },
-			"-kill-shard requires -failover-after > 0"},
+		{"kill-shard without failover", func(c *simConfig) { c.cluster = true; c.shards = 2; c.killShard = 1; c.failoverAfter = 0 },
+			"-failover-after must be > 0"},
 		{"cell bad churnfrac", func(c *simConfig) {
 			c.cell = true
 			c.reps = 1

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -41,30 +42,25 @@ import (
 // upload_batch op. The coordinator's own store — which holds every
 // upload and profile anyway, for re-homing — is the source of truth;
 // Rotate flushes the queues before freezing, so a rotation still covers
-// every upload accepted before the call. With WithFailover, a shard
-// that stays unreachable past a deadline is declared dead at the next
-// rotation and its users' stored uploads are re-homed onto the
-// survivors (recovery is a replay).
+// every upload accepted before the call. A shard that stays unreachable
+// past DeadAfter is declared dead at the next rotation and its users'
+// stored uploads are re-homed onto the survivors (recovery is a
+// replay); see "Failure semantics and shard fail-over" in DESIGN.md.
 type Coordinator struct {
-	numUsers    int
-	k           int
-	every       int
-	poolSize    int
-	maxBatch    int
-	queueCap    int
-	spawnShards int
-	addrs       []string
-	fo          Failover
-	dialOpts    []service.DialOption
-	cm          *metrics.ClusterMetrics
-	rm          *metrics.RequestMetrics
+	numUsers  int
+	k         int
+	every     int
+	maxBatch  int
+	deadAfter time.Duration
+	addrs     []string
+	cm        *metrics.ClusterMetrics
+	rm        *metrics.RequestMetrics
 
 	keys     []uint64
 	keyOwner []int32
 	pools    []*shardPool
 	senders  []*orderedSender
 	health   []*shardHealth
-	owned    []*Shard // in-process shards spawned via WithShards
 
 	// mu guards the routing state. Rotate holds it across the replay
 	// phase so a concurrent upload can never interleave between a
@@ -75,6 +71,12 @@ type Coordinator struct {
 	profiles     map[int32]service.ProfileSpec
 	serving      []int32 // current home shard; -1 = never uploaded
 	uploadsSince int
+	// held lists, per dead shard, the users whose rows it may still
+	// hold: those it served and those in its dropped queue when it was
+	// declared dead. A partitioned shard keeps its state, so the rotation
+	// that revives it tombstones each of them there unless it re-homes
+	// them back.
+	held [][]int32
 
 	// Rehome state, under mu (see rehomeLocked). touched flags the users
 	// uploaded since the last rehome, touchedList lists them. cross
@@ -113,35 +115,25 @@ func WithNumUsers(n int) Option {
 }
 
 // WithK sets the anonymity level (default 10, matching service.New).
-// Only used to configure shards spawned via WithShards; a coordinator
-// over external shards trusts them to agree on k.
+// The coordinator does not cluster: it checks k >= 1 and trusts its
+// shards to run with the same k.
 func WithK(k int) Option {
 	return func(c *Coordinator) { c.k = k }
 }
 
-// WithShardAddrs routes to already-running shards at addrs. The shards
-// must be cloakd processes (or in-process service.Servers) configured
-// with the same population size and k. Mutually exclusive with
-// WithShards.
+// WithShardAddrs routes to already-running shards at addrs (required).
+// The shards must be cloakd processes (or in-process service.Servers,
+// see SpawnInProcess) configured with the same population size and k;
+// they are their owner's to stop.
 func WithShardAddrs(addrs ...string) Option {
 	return func(c *Coordinator) { c.addrs = append([]string(nil), addrs...) }
 }
 
-// WithShards spawns n in-process shards owned by the coordinator (and
-// closed with it). The cheap mode for tests and single-machine
-// experiments; mutually exclusive with WithShardAddrs.
-func WithShards(n int) Option {
-	return func(c *Coordinator) { c.spawnShards = n }
-}
-
-// WithFailover enables shard fail-over: per-shard health tracking,
-// retry with exponential backoff + jitter on the ordered connection,
-// and — when a shard stays dead past fo.DeadAfter — re-homing its
-// users' stored uploads onto the surviving shards at the next rotation.
-// The zero Failover disables it (a dead shard then fails its users'
-// operations until it returns).
-func WithFailover(fo Failover) Option {
-	return func(c *Coordinator) { c.fo = fo }
+// WithDeadAfter sets how long a shard may stay failing before a
+// rotation declares it dead and re-homes its users' stored uploads onto
+// the surviving shards (default DefaultDeadAfter; must be > 0).
+func WithDeadAfter(d time.Duration) Option {
+	return func(c *Coordinator) { c.deadAfter = d }
 }
 
 // WithMaxBatch caps how many queued forwards one upload_batch round
@@ -149,13 +141,6 @@ func WithFailover(fo Failover) Option {
 // under the protocol's line limit).
 func WithMaxBatch(n int) Option {
 	return func(c *Coordinator) { c.maxBatch = n }
-}
-
-// WithQueueCapacity sets the per-shard ordered-queue soft capacity:
-// Upload blocks (honoring its context) while the owning shard's queue
-// is above it (default DefaultQueueCapacity).
-func WithQueueCapacity(n int) Option {
-	return func(c *Coordinator) { c.queueCap = n }
 }
 
 // WithKeys supplies per-user locality keys (Hilbert ranks from
@@ -172,12 +157,6 @@ func WithClusterMetrics(cm *metrics.ClusterMetrics) Option {
 	return func(c *Coordinator) { c.cm = cm }
 }
 
-// WithPoolSize sets the query-connection pool size per shard (default
-// 4; the ordered upload connection is separate and always single).
-func WithPoolSize(n int) Option {
-	return func(c *Coordinator) { c.poolSize = n }
-}
-
 // WithEveryUploads auto-rotates the cluster after every n accepted
 // uploads (0 = manual, the default). The rotation runs asynchronously
 // and is skipped while another is in flight, mirroring the single-process
@@ -186,25 +165,18 @@ func WithEveryUploads(n int) Option {
 	return func(c *Coordinator) { c.every = n }
 }
 
-// WithDialOptions forwards Dial options to every shard connection (op
-// timeouts, most usefully).
-func WithDialOptions(opts ...service.DialOption) Option {
-	return func(c *Coordinator) { c.dialOpts = opts }
-}
-
 // New builds a coordinator configured by options. WithNumUsers and
-// exactly one of WithShardAddrs / WithShards are required.
+// WithShardAddrs are required.
 func New(opts ...Option) (*Coordinator, error) {
 	c := &Coordinator{
-		k:        10,
-		poolSize: 4,
-		maxBatch: DefaultMaxBatch,
-		queueCap: DefaultQueueCapacity,
-		rm:       metrics.NewRequestMetrics(),
-		conns:    make(map[net.Conn]struct{}),
-		uploads:  make(map[int32][]service.PeerRank),
-		profiles: make(map[int32]service.ProfileSpec),
-		cross:    make(map[int32][]int32),
+		k:         10,
+		maxBatch:  DefaultMaxBatch,
+		deadAfter: DefaultDeadAfter,
+		rm:        metrics.NewRequestMetrics(),
+		conns:     make(map[net.Conn]struct{}),
+		uploads:   make(map[int32][]service.PeerRank),
+		profiles:  make(map[int32]service.ProfileSpec),
+		cross:     make(map[int32][]int32),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -224,30 +196,11 @@ func New(opts ...Option) (*Coordinator, error) {
 	if c.maxBatch > maxBatchCeiling {
 		c.maxBatch = maxBatchCeiling
 	}
-	if c.queueCap < 1 {
-		return nil, fmt.Errorf("cluster: queue capacity must be >= 1, got %d", c.queueCap)
+	if c.deadAfter <= 0 {
+		return nil, fmt.Errorf("cluster: dead-after must be > 0, got %v", c.deadAfter)
 	}
-	if err := c.fo.validate(); err != nil {
-		return nil, err
-	}
-	c.fo = c.fo.withDefaults()
-	if len(c.addrs) > 0 && c.spawnShards > 0 {
-		return nil, fmt.Errorf("cluster: WithShardAddrs and WithShards are mutually exclusive")
-	}
-	if len(c.addrs) == 0 && c.spawnShards == 0 {
-		return nil, fmt.Errorf("cluster: need at least one shard (WithShardAddrs or WithShards)")
-	}
-	if c.spawnShards > 0 {
-		shards, err := SpawnInProcess(context.Background(), c.spawnShards, ShardConfig{NumUsers: c.numUsers, K: c.k})
-		if err != nil {
-			return nil, err
-		}
-		c.owned = shards
-		c.addrs = Addrs(shards)
-	}
-	fail := func(err error) (*Coordinator, error) {
-		_ = CloseShards(c.owned)
-		return nil, err
+	if len(c.addrs) == 0 {
+		return nil, fmt.Errorf("cluster: need at least one shard (WithShardAddrs)")
 	}
 	if c.keys == nil {
 		// Position-free default: uniform by id.
@@ -257,7 +210,7 @@ func New(opts ...Option) (*Coordinator, error) {
 		}
 	}
 	if len(c.keys) != c.numUsers {
-		return fail(fmt.Errorf("cluster: %d keys for %d users", len(c.keys), c.numUsers))
+		return nil, fmt.Errorf("cluster: %d keys for %d users", len(c.keys), c.numUsers)
 	}
 	c.keyOwner = keyOwners(c.keys, len(c.addrs))
 	c.serving = make([]int32, c.numUsers)
@@ -267,17 +220,15 @@ func New(opts ...Option) (*Coordinator, error) {
 	c.touched = make([]bool, c.numUsers)
 	c.stamp = make([]uint32, c.numUsers)
 	c.home = make([]int32, c.numUsers)
-	if len(c.dialOpts) == 0 {
-		c.dialOpts = []service.DialOption{service.WithOpTimeout(service.DefaultOpTimeout)}
-	}
+	c.held = make([][]int32, len(c.addrs))
 	c.cm.SetShards(len(c.addrs))
 	c.pools = make([]*shardPool, len(c.addrs))
 	c.health = make([]*shardHealth, len(c.addrs))
 	c.senders = make([]*orderedSender, len(c.addrs))
 	for i, addr := range c.addrs {
-		c.pools[i] = newShardPool(addr, c.poolSize, c.dialOpts)
+		c.pools[i] = newShardPool(addr)
 		c.health[i] = newShardHealth(i, c.cm)
-		c.senders[i] = newOrderedSender(i, c.pools[i], c.health[i], c.cm, c.fo, c.maxBatch, c.queueCap)
+		c.senders[i] = newOrderedSender(i, c.pools[i], c.health[i], c.cm, c.maxBatch)
 	}
 	return c, nil
 }
@@ -339,13 +290,14 @@ func (c *Coordinator) standInLocked(o int32) int32 {
 type UploadRequest = service.UploadEntry
 
 // Upload stores the user's ranked peer list and enqueues it for the
-// user's current home shard. Validation is synchronous; delivery is
-// asynchronous — the shard applies the upload when its ordered sender
-// drains the queue, and Rotate flushes every queue before freezing, so
-// a rotation always covers every upload accepted before it. A nil
-// return means "accepted and durably stored at the coordinator", not
-// "applied by the shard". Blocks (honoring ctx) only when the owning
-// shard's queue is over capacity.
+// user's current home shard. Validation is synchronous and applies the
+// shard's own checks, so the shard never rejects a stored upload;
+// delivery is asynchronous — the shard applies the upload when its
+// ordered sender drains the queue, and Rotate flushes every queue
+// before freezing, so a rotation always covers every upload accepted
+// before it. A nil return means "accepted and stored in the
+// coordinator's memory", not "applied by the shard". Blocks (honoring
+// ctx) only when the owning shard's queue is over capacity.
 func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 	user, peers, prof := req.User, req.Peers, req.Profile
 	if err := c.validateUser(user); err != nil {
@@ -357,6 +309,11 @@ func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 		}
 		if pr.Rank < 1 {
 			return fmt.Errorf("cluster: rank %d for peer %d must be >= 1", pr.Rank, pr.Peer)
+		}
+	}
+	if prof != nil {
+		if err := prof.Core().Validate(c.numUsers); err != nil {
+			return fmt.Errorf("cluster: %w", err)
 		}
 	}
 	stored := append([]service.PeerRank(nil), peers...)
@@ -403,8 +360,10 @@ func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 }
 
 // Flush blocks until every forward enqueued before the call has been
-// acknowledged by its shard (dead shards are skipped — their users'
-// uploads are replayed at the next rotation). ctx bounds the wait.
+// acknowledged by its shard, or dropped because a rotation declared
+// its shard dead (dead shards are skipped — their users' uploads are
+// replayed onto survivors). ctx bounds the wait. The only error it
+// returns besides ctx's is a shard's rejection of an upload.
 func (c *Coordinator) Flush(ctx context.Context) error {
 	var first error
 	for i := range c.senders {
@@ -419,18 +378,15 @@ func (c *Coordinator) Flush(ctx context.Context) error {
 }
 
 // Cloak routes the cloaking request to the user's home shard and relays
-// its answer. The payload's Epoch is the serving shard's local epoch.
-// With failover enabled, a broken connection is retried with backoff
-// for up to Failover.QueryBudget — re-resolving the home shard each
-// attempt, since a rotation may re-home the user mid-retry.
+// its answer. The payload's Epoch is the serving shard's local epoch. A
+// broken connection is retried with backoff for up to queryBudget from
+// the first failure — re-resolving the home shard each attempt, since
+// a rotation may re-home the user mid-retry.
 func (c *Coordinator) Cloak(ctx context.Context, user int32) (*service.CloakPayload, error) {
 	if err := c.validateUser(user); err != nil {
 		return nil, err
 	}
-	var deadline time.Time
-	if c.fo.enabled() {
-		deadline = time.Now().Add(c.fo.QueryBudget)
-	}
+	var deadline time.Time // set at the first failure
 	for attempt := 1; ; attempt++ {
 		c.mu.RLock()
 		shard := c.shardForLocked(user)
@@ -451,11 +407,13 @@ func (c *Coordinator) Cloak(ctx context.Context, user int32) (*service.CloakPayl
 			return nil, relayErr(service.OpCloak, err)
 		}
 		c.health[shard].markFailure()
-		if !c.fo.enabled() || time.Now().After(deadline) {
+		if deadline.IsZero() {
+			deadline = time.Now().Add(queryBudget)
+		} else if time.Now().After(deadline) {
 			return nil, relayErr(service.OpCloak, err)
 		}
 		c.cm.ObserveShardRetry(int(shard))
-		t := time.NewTimer(backoffFor(c.fo, attempt))
+		t := time.NewTimer(backoffFor(attempt))
 		select {
 		case <-t.C:
 		case <-ctx.Done():
@@ -476,17 +434,19 @@ type RotateStats struct {
 }
 
 // Rotate re-homes components and rotates every live shard,
-// synchronously: on return each live shard serves an epoch covering all
-// uploads accepted before the call. One rotation runs at a time;
-// concurrent calls serialize.
+// synchronously: on return each live shard it did not skip serves an
+// epoch covering all uploads accepted before the call. One rotation
+// runs at a time; concurrent calls serialize.
 //
-// With failover enabled the rotation is also the recovery point: dead
-// shards are probed (a successful ping revives one, and re-homing
-// replays its users back), shards failing longer than DeadAfter are
-// declared dead (their queues dropped, their users re-homed onto
-// survivors from the coordinator's store), and a live shard that fails
-// to flush or freeze is marked failing and skipped instead of failing
-// the rotation.
+// The rotation is also the recovery point. Dead shards are probed: one
+// that answers is revived, re-homing replays its components back onto
+// it, and every user it may still hold a row for that does not home
+// there is tombstoned there. Shards failing for DeadAfter are declared
+// dead: their queues are dropped and their users re-homed onto
+// survivors from the coordinator's store. A live shard whose flush
+// outlasts max(DeadAfter, 2s), or whose freeze connection breaks, is
+// marked failing and skipped. A shard's rejection, of a forwarded
+// upload or of the freeze, fails the rotation.
 func (c *Coordinator) Rotate(ctx context.Context) (RotateStats, error) {
 	st, _, err := c.rotate(ctx)
 	return st, err
@@ -499,7 +459,7 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 	c.rotateMu.Lock()
 	defer c.rotateMu.Unlock()
 
-	c.probeDeadShards()
+	revived := c.probeDeadShards()
 
 	now := time.Now()
 	c.mu.Lock()
@@ -509,24 +469,33 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 	// uploads, while still holding c.mu: a concurrent Upload for a moved
 	// user must observe the new home (and order after the replay in the
 	// new shard's queue), never race the tombstone.
-	failedOver := 0
 	var enqErr error
+	enqueue := func(shard int32, req UploadRequest) {
+		c.cm.ObserveRouted(string(service.OpUpload))
+		if err := c.senders[shard].enqueue(req); err != nil && enqErr == nil {
+			enqErr = err
+		}
+	}
+	failedOver := 0
 	for _, mv := range moves {
 		if mv.from >= 0 && c.health[mv.from].isDead() {
 			failedOver++
 		}
 		if !c.health[mv.to].isDead() {
-			c.cm.ObserveRouted(string(service.OpUpload))
-			if err := c.senders[mv.to].enqueue(UploadRequest{User: mv.user, Peers: c.uploads[mv.user], Profile: c.profileForLocked(mv.user)}); err != nil && enqErr == nil {
-				enqErr = err
-			}
+			enqueue(mv.to, UploadRequest{User: mv.user, Peers: c.uploads[mv.user], Profile: c.profileForLocked(mv.user)})
 		}
 		if mv.from >= 0 && !c.health[mv.from].isDead() {
-			c.cm.ObserveRouted(string(service.OpUpload))
-			if err := c.senders[mv.from].enqueue(UploadRequest{User: mv.user}); err != nil && enqErr == nil {
-				enqErr = err
+			enqueue(mv.from, UploadRequest{User: mv.user})
+		}
+	}
+	for _, i := range revived {
+		slices.Sort(c.held[i])
+		for _, u := range slices.Compact(c.held[i]) {
+			if c.serving[u] != i {
+				enqueue(i, UploadRequest{User: u})
 			}
 		}
+		c.held[i] = nil
 	}
 	c.uploadsSince = 0
 	c.mu.Unlock()
@@ -538,8 +507,7 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 	}
 
 	// Flush every live shard's queue in parallel, bounded: a shard that
-	// cannot drain in time is marked failing and skipped (failover) or
-	// fails the rotation (no failover — the pre-batching behavior).
+	// cannot drain in time is marked failing and skipped.
 	skip := make([]bool, len(c.pools))
 	ferrs := make([]error, len(c.pools))
 	var wg sync.WaitGroup
@@ -551,22 +519,21 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fctx, cancel := context.WithTimeout(ctx, c.flushTimeout())
+			fctx, cancel := context.WithTimeout(ctx, max(c.deadAfter, minFlushTimeout))
 			defer cancel()
 			ferrs[i] = c.senders[i].flush(fctx)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range ferrs {
-		if err == nil || skip[i] {
-			continue
-		}
-		if c.fo.enabled() {
+		switch {
+		case err == nil:
+		case ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded):
 			c.health[i].markFailure()
 			skip[i] = true
-			continue
+		default:
+			return RotateStats{}, nil, fmt.Errorf("cluster: rotate: flush shard %d: %w", i, err)
 		}
-		return RotateStats{}, nil, fmt.Errorf("cluster: rotate: flush shard %d: %w", i, err)
 	}
 
 	// Freeze the surviving shards in parallel. Each reply is the epoch
@@ -592,14 +559,13 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if c.fo.enabled() && connBroken(err) {
+		switch {
+		case err == nil:
+		case connBroken(err):
 			c.health[i].markFailure()
-			continue
+		default:
+			return RotateStats{}, nil, fmt.Errorf("cluster: rotate shard %d: %w", i, err)
 		}
-		return RotateStats{}, nil, fmt.Errorf("cluster: rotate shard %d: %w", i, err)
 	}
 
 	c.epoch++
@@ -619,48 +585,48 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 	return stats, shards, nil
 }
 
-// flushTimeout bounds one rotation's wait for a shard queue to drain.
-func (c *Coordinator) flushTimeout() time.Duration {
-	if c.fo.enabled() {
-		return c.fo.FlushTimeout
-	}
-	return 30 * time.Second
-}
-
-// probeDeadShards pings every dead shard once (outside any lock); a
-// shard that answers is revived, and the calling rotation re-homes
-// components back onto it — replaying their stored uploads, so the
-// restarted shard re-enters service consistent with the store.
-func (c *Coordinator) probeDeadShards() {
-	if !c.fo.enabled() {
-		return
-	}
+// probeDeadShards pings every dead shard once (outside any lock),
+// revives each that answers and returns them. The calling rotation
+// re-homes components back onto a revived shard, replaying their stored
+// uploads, and tombstones there every user in its held list that stays
+// elsewhere, so the shard re-enters service consistent with the store
+// whether it restarted empty or was only cut off.
+func (c *Coordinator) probeDeadShards() []int32 {
+	var revived []int32
 	for i := range c.health {
 		if !c.health[i].isDead() {
 			continue
 		}
 		if c.pools[i].query(func(cl *service.Client) error { return cl.Ping() }) == nil {
 			c.health[i].markRecovered()
+			revived = append(revived, int32(i))
 		}
 	}
+	return revived
 }
 
-// declareDeadLocked declares shards failing longer than DeadAfter dead,
-// dropping their queues (the re-home replays supersede them). At least
+// declareDeadLocked declares shards failing for DeadAfter dead. It
+// drops each one's queue (the re-home replays supersede it) and records
+// in held the users whose rows the shard may keep: those in the dropped
+// queue, the batch in flight included, and those it serves. At least
 // one shard always stays alive. Callers hold c.mu.
 func (c *Coordinator) declareDeadLocked(now time.Time) {
-	if !c.fo.enabled() {
-		return
-	}
 	for i := range c.health {
 		if c.aliveShards() <= 1 {
 			return
 		}
-		if c.health[i].isDead() || c.health[i].failingFor(now) < c.fo.DeadAfter {
+		if c.health[i].isDead() || c.health[i].failingFor(now) < c.deadAfter {
 			continue
 		}
+		for _, e := range c.senders[i].dropQueue() {
+			c.held[i] = append(c.held[i], e.User)
+		}
+		for u, s := range c.serving {
+			if s == int32(i) {
+				c.held[i] = append(c.held[i], int32(u))
+			}
+		}
 		c.health[i].declareDead()
-		c.senders[i].dropQueue()
 		c.cm.ObserveFailover()
 	}
 }
@@ -959,9 +925,8 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 }
 
 // Close shuts the protocol listener and its client connections (if
-// serving), the ordered senders, and every shard connection. Shards
-// spawned via WithShards are closed too; external shards are their
-// owner's to stop.
+// serving), the ordered senders, and every shard connection. The
+// shards themselves are their owner's to stop.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		if c.lnClose != nil {
@@ -976,9 +941,6 @@ func (c *Coordinator) Close() error {
 		}
 		for _, s := range c.senders {
 			s.close()
-		}
-		if err := CloseShards(c.owned); err != nil && c.closeErr == nil {
-			c.closeErr = err
 		}
 	})
 	return c.closeErr

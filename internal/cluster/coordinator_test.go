@@ -520,20 +520,17 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := New(WithNumUsers(10), WithK(2)); err == nil {
 		t.Error("no shards accepted")
 	}
-	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithShards(2)); err == nil {
-		t.Error("WithShardAddrs+WithShards accepted")
-	}
 	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithKeys(make([]uint64, 3))); err == nil {
 		t.Error("key/population mismatch accepted")
 	}
 	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithMaxBatch(0)); err == nil {
 		t.Error("max batch 0 accepted")
 	}
-	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithQueueCapacity(0)); err == nil {
-		t.Error("queue capacity 0 accepted")
+	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithDeadAfter(0)); err == nil {
+		t.Error("dead-after 0 accepted")
 	}
-	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithFailover(Failover{DeadAfter: -time.Second})); err == nil {
-		t.Error("negative failover deadline accepted")
+	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithDeadAfter(-time.Second)); err == nil {
+		t.Error("negative dead-after accepted")
 	}
 	keys := make([]uint64, 10)
 	coord, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("127.0.0.1:1"), WithKeys(keys))
@@ -552,6 +549,15 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 	if err := coord.Upload(bg, UploadRequest{User: 1, Peers: []service.PeerRank{{Peer: 99, Rank: 1}}}); err == nil {
 		t.Error("out-of-range peer accepted")
+	}
+	if err := coord.Upload(bg, UploadRequest{User: 1, Profile: &service.ProfileSpec{K: -1}}); err == nil {
+		t.Error("profile k -1 accepted")
+	}
+	coord.mu.RLock()
+	stored, profiled := len(coord.uploads), len(coord.profiles)
+	coord.mu.RUnlock()
+	if stored != 0 || profiled != 0 {
+		t.Errorf("rejected uploads left %d lists and %d profiles in the store", stored, profiled)
 	}
 	if _, err := coord.Cloak(bg, 11); err == nil {
 		t.Error("out-of-range cloak accepted")

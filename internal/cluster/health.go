@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,68 +17,34 @@ const (
 	// and no success has been seen since; the ordered sender is retrying
 	// with backoff.
 	ShardFailing = 1
-	// ShardDead: the shard stayed failing past Failover.DeadAfter and a
-	// rotation re-homed its users onto survivors. Only a successful
-	// probe at a later rotation revives it.
+	// ShardDead: the shard stayed failing past DeadAfter and a rotation
+	// re-homed its users onto survivors. Only a successful probe at a
+	// later rotation revives it.
 	ShardDead = 2
 )
 
-// Failover configures shard fail-over. The zero value disables it
-// entirely (the pre-failover behavior: a dead shard fails its users'
-// operations until it returns). Setting DeadAfter > 0 enables it.
-type Failover struct {
-	// DeadAfter is how long a shard may stay failing before a rotation
-	// declares it dead and re-homes its users' stored uploads onto the
-	// surviving shards. Required (> 0) to enable fail-over.
-	DeadAfter time.Duration
-	// RetryBase/RetryMax bound the ordered sender's exponential backoff
-	// between redial attempts (defaults 25ms / 1s). Each sleep gets up
-	// to 50% random jitter so senders never thundering-herd a
+// DefaultDeadAfter is how long a shard may stay failing before a
+// rotation declares it dead and re-homes its users' stored uploads onto
+// the surviving shards (WithDeadAfter). It sits below queryBudget, so a
+// cloak that keeps retrying against a dead shard outlasts the failure
+// window and is answered by the survivor its user was re-homed onto.
+const DefaultDeadAfter = 5 * time.Second
+
+const (
+	// retryBase and retryMax bound the exponential backoff between
+	// attempts, of the ordered sender and of Cloak alike. Each sleep gets
+	// up to 50% random jitter, so senders never thundering-herd a
 	// recovering shard.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// FlushTimeout bounds how long a rotation waits for one shard's
-	// queue to drain before treating the shard as failing and rotating
-	// without it (default max(DeadAfter, 2s)).
-	FlushTimeout time.Duration
-	// QueryBudget bounds how long a cloak retries against a failing
-	// shard before giving up (default 15s). Re-homing moves the user at
-	// the next rotation, so a budget past DeadAfter turns shard death
-	// into latency instead of errors.
-	QueryBudget time.Duration
-}
-
-func (f Failover) enabled() bool { return f.DeadAfter > 0 }
-
-func (f Failover) validate() error {
-	if f.DeadAfter < 0 || f.RetryBase < 0 || f.RetryMax < 0 || f.FlushTimeout < 0 || f.QueryBudget < 0 {
-		return fmt.Errorf("cluster: failover durations must be >= 0")
-	}
-	return nil
-}
-
-// withDefaults fills the optional knobs. Called once at construction.
-func (f Failover) withDefaults() Failover {
-	if f.RetryBase <= 0 {
-		f.RetryBase = 25 * time.Millisecond
-	}
-	if f.RetryMax <= 0 {
-		f.RetryMax = time.Second
-	}
-	if f.RetryMax < f.RetryBase {
-		f.RetryMax = f.RetryBase
-	}
-	if f.FlushTimeout <= 0 {
-		f.FlushTimeout = 2 * time.Second
-		if f.DeadAfter > f.FlushTimeout {
-			f.FlushTimeout = f.DeadAfter
-		}
-	}
-	if f.QueryBudget <= 0 {
-		f.QueryBudget = 15 * time.Second
-	}
-	return f
-}
+	retryBase = 25 * time.Millisecond
+	retryMax  = time.Second
+	// minFlushTimeout is the least a rotation waits for one shard's queue
+	// to drain before it marks the shard failing and rotates without it;
+	// the wait is max(DeadAfter, minFlushTimeout).
+	minFlushTimeout = 2 * time.Second
+	// queryBudget bounds how long a cloak retries against a failing
+	// shard before it gives up.
+	queryBudget = 15 * time.Second
+)
 
 // shardHealth tracks one shard's liveness as seen by the coordinator.
 // The state transitions are driven by forward/query outcomes (up ↔

@@ -19,27 +19,30 @@ import (
 //     connections could reorder an upload and the tombstone that
 //     supersedes it;
 //   - the query path: a small pool of connections for reads and rotates
-//     (cloak, epoch, stats, freeze), which tolerate any interleaving.
+//     (cloak, epoch, stats, ping, freeze), which tolerate any
+//     interleaving. Each is a read or an idempotent freeze, so a query
+//     is safe to send again.
+//
+// Every connection uses the service.Dial defaults for its dial and op
+// timeouts.
 type shardPool struct {
 	addr string
-	opts []service.DialOption
 
 	ordMu sync.Mutex
 	ord   *service.Client
 
-	qMu     sync.Mutex
-	idle    []*service.Client
-	created int
-	size    int
+	qMu  sync.Mutex
+	idle []*service.Client
 
 	closed bool
 }
 
-func newShardPool(addr string, size int, opts []service.DialOption) *shardPool {
-	if size < 1 {
-		size = 1
-	}
-	return &shardPool{addr: addr, size: size, opts: opts}
+// poolSize caps the idle query connections kept per shard; the ordered
+// connection is separate and always single.
+const poolSize = 4
+
+func newShardPool(addr string) *shardPool {
+	return &shardPool{addr: addr}
 }
 
 // connBroken reports whether err poisoned the connection it happened on
@@ -71,7 +74,7 @@ func (p *shardPool) ordered(fn func(*service.Client) error) error {
 	}
 	for attempt := 0; ; attempt++ {
 		if p.ord == nil {
-			c, err := service.Dial(p.addr, p.opts...)
+			c, err := service.Dial(p.addr)
 			if err != nil {
 				return err
 			}
@@ -89,65 +92,57 @@ func (p *shardPool) ordered(fn func(*service.Client) error) error {
 	}
 }
 
-// query runs fn on a pooled connection, dialing up to size of them on
-// demand. A connection that breaks mid-call is dropped instead of
-// returned.
+// query runs fn on a pooled connection, dialing up to poolSize of them
+// on demand. A connection that breaks mid-call is dropped instead of
+// returned. A pooled one may have broken while it sat idle, so fn then
+// runs once more on a freshly dialed connection, as ordered redials.
 func (p *shardPool) query(fn func(*service.Client) error) error {
-	c, err := p.acquire()
-	if err != nil {
-		return err
+	for fresh := false; ; fresh = true {
+		c, pooled, err := p.acquire(fresh)
+		if err != nil {
+			return err
+		}
+		err = fn(c)
+		if !connBroken(err) {
+			p.release(c)
+			return err
+		}
+		c.Close()
+		if !pooled {
+			return err
+		}
 	}
-	err = fn(c)
-	if connBroken(err) {
-		p.discard(c)
-	} else {
-		p.release(c)
-	}
-	return err
 }
 
-func (p *shardPool) acquire() (*service.Client, error) {
+// acquire takes an idle connection (pooled true), or dials one when
+// none is idle or fresh is set.
+func (p *shardPool) acquire(fresh bool) (c *service.Client, pooled bool, err error) {
 	p.qMu.Lock()
 	if p.closed {
 		p.qMu.Unlock()
-		return nil, fmt.Errorf("cluster: shard pool %s closed", p.addr)
+		return nil, false, fmt.Errorf("cluster: shard pool %s closed", p.addr)
 	}
-	if n := len(p.idle); n > 0 {
+	if n := len(p.idle); n > 0 && !fresh {
 		c := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.qMu.Unlock()
-		return c, nil
+		return c, true, nil
 	}
-	p.created++
 	p.qMu.Unlock()
-	// Dial outside the lock; the pool intentionally overshoots size
+	// Dial outside the lock; the pool intentionally overshoots poolSize
 	// under a thundering herd rather than serializing dials — release
-	// trims back down to size.
-	c, err := service.Dial(p.addr, p.opts...)
-	if err != nil {
-		p.qMu.Lock()
-		p.created--
-		p.qMu.Unlock()
-		return nil, err
-	}
-	return c, nil
+	// trims back down to poolSize.
+	c, err = service.Dial(p.addr)
+	return c, false, err
 }
 
 func (p *shardPool) release(c *service.Client) {
 	p.qMu.Lock()
-	if !p.closed && len(p.idle) < p.size {
+	if !p.closed && len(p.idle) < poolSize {
 		p.idle = append(p.idle, c)
 		p.qMu.Unlock()
 		return
 	}
-	p.created--
-	p.qMu.Unlock()
-	c.Close()
-}
-
-func (p *shardPool) discard(c *service.Client) {
-	p.qMu.Lock()
-	p.created--
 	p.qMu.Unlock()
 	c.Close()
 }

@@ -11,12 +11,12 @@ import (
 	"nonexposure/internal/service"
 )
 
-// Default sizing for the per-shard ordered queues. A batch of 128
-// uploads is ~30 KiB on the wire — far under MaxLineBytes — and the
-// queue capacity only backpressures writers, it never drops.
+// Sizing of the per-shard ordered queues. A batch of 128 uploads is
+// ~30 KiB on the wire — far under MaxLineBytes — and the queue capacity
+// only backpressures writers, it never drops.
 const (
-	DefaultMaxBatch      = 128
-	DefaultQueueCapacity = 8192
+	DefaultMaxBatch = 128
+	queueCapacity   = 8192
 	// maxBatchCeiling keeps any configured batch size comfortably under
 	// the protocol's one-line limit.
 	maxBatchCeiling = 1024
@@ -31,49 +31,46 @@ const (
 // batch per sender: a user's writes reach the shard in coordinator
 // order, always.
 //
-// Error handling depends on the failover mode:
-//   - failover enabled: a broken connection is retried forever with
-//     exponential backoff + jitter (bounded redials via the pool's lazy
-//     dial); a rotation declares the shard dead after DeadAfter and
-//     drops the queue, superseded by re-homing replays.
-//   - failover disabled: two attempts, then the batch is dropped and
-//     the error held sticky for the next flush — the pre-batching
-//     behavior, where a dead shard fails its users' operations.
+// A batch leaves the queue only when the shard acknowledges it, when a
+// rotation declares the shard dead (dropQueue: the re-homing replays
+// from the coordinator's store supersede it), or when the coordinator
+// closes. A broken connection is retried with exponential backoff and
+// jitter until one of those happens. Delivery is therefore
+// at-least-once: a batch the shard applied but whose response was lost
+// is sent again.
 //
-// An application-level rejection (the shard answered ok:false) never
-// retries: the batch's applied prefix is consumed, the rejected entry
-// dropped, the tail kept in order, and the error held for flush.
+// A rejection (the shard answered ok:false) is never retried: the
+// batch's applied prefix is consumed, the rejected entry dropped, the
+// tail kept in order, and the error held for the next flush. It is the
+// only error a flush reports besides its context's.
 type orderedSender struct {
 	shard  int
 	pool   *shardPool
 	health *shardHealth
 	cm     *metrics.ClusterMetrics
-	fo     Failover
 	max    int // batch size cap
-	cap    int // queue soft capacity (waitCap blocks above it)
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled on enqueue and close
 	queue    []service.UploadEntry
 	inflight bool
-	lastErr  error         // sticky until the next flush
+	drops    uint64        // dropQueue calls: the reply to a batch dropped in flight consumes nothing
+	lastErr  error         // a shard's rejection, sticky until the next flush
 	drained  chan struct{} // closed when queue empties, then nil
-	notFull  chan struct{} // closed when len(queue) <= cap, then nil
+	notFull  chan struct{} // closed when len(queue) <= queueCapacity, then nil
 	closed   bool
 
 	done chan struct{} // interrupts backoff sleeps
 	wg   sync.WaitGroup
 }
 
-func newOrderedSender(shard int, pool *shardPool, health *shardHealth, cm *metrics.ClusterMetrics, fo Failover, maxBatch, queueCap int) *orderedSender {
+func newOrderedSender(shard int, pool *shardPool, health *shardHealth, cm *metrics.ClusterMetrics, maxBatch int) *orderedSender {
 	s := &orderedSender{
 		shard:  shard,
 		pool:   pool,
 		health: health,
 		cm:     cm,
-		fo:     fo,
 		max:    maxBatch,
-		cap:    queueCap,
 		done:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -97,11 +94,13 @@ func (s *orderedSender) enqueue(it service.UploadEntry) error {
 
 // waitCap blocks while the queue is over capacity — soft backpressure so
 // a writer outrunning the shard parks instead of growing the queue
-// without bound. Called after the routing lock is released.
+// without bound. Behind a failing shard it parks until the shard
+// recovers or a rotation declares it dead. Called after the routing
+// lock is released.
 func (s *orderedSender) waitCap(ctx context.Context) error {
 	for {
 		s.mu.Lock()
-		if s.closed || len(s.queue) <= s.cap {
+		if s.closed || len(s.queue) <= queueCapacity {
 			s.mu.Unlock()
 			return nil
 		}
@@ -119,8 +118,8 @@ func (s *orderedSender) waitCap(ctx context.Context) error {
 }
 
 // flush blocks until every item enqueued before the call has been
-// acknowledged (or abandoned per the failover policy), then returns and
-// clears the sticky error. ctx bounds the wait.
+// acknowledged (or dropped with a dead shard's queue), then returns and
+// clears the sticky rejection. ctx bounds the wait.
 func (s *orderedSender) flush(ctx context.Context) error {
 	for {
 		s.mu.Lock()
@@ -143,15 +142,19 @@ func (s *orderedSender) flush(ctx context.Context) error {
 	}
 }
 
-// dropQueue abandons everything queued (and any sticky error): the
-// rotation that declared this shard dead re-homes every affected user's
-// stored upload, which supersedes the queued forwards.
-func (s *orderedSender) dropQueue() {
+// dropQueue abandons everything queued, the batch in flight included,
+// and any sticky error, and returns what it dropped: the rotation that
+// declares this shard dead re-homes every affected user's stored
+// upload, which supersedes the queued forwards.
+func (s *orderedSender) dropQueue() []service.UploadEntry {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	dropped := s.queue
 	s.queue = nil
 	s.lastErr = nil
+	s.drops++
 	s.releaseLocked()
-	s.mu.Unlock()
+	return dropped
 }
 
 // close stops the sender. Anything still queued is abandoned — the
@@ -173,7 +176,7 @@ func (s *orderedSender) close() {
 // releaseLocked wakes capacity and flush waiters whose condition now
 // holds. Callers hold s.mu.
 func (s *orderedSender) releaseLocked() {
-	if s.notFull != nil && (len(s.queue) <= s.cap || s.closed) {
+	if s.notFull != nil && (len(s.queue) <= queueCapacity || s.closed) {
 		close(s.notFull)
 		s.notFull = nil
 	}
@@ -183,8 +186,8 @@ func (s *orderedSender) releaseLocked() {
 	}
 }
 
-// run is the sender loop: wait for work, send one batch, consume per
-// the outcome, repeat.
+// run is the sender loop: wait for work, send one batch, consume what
+// the shard acknowledged, repeat.
 func (s *orderedSender) run() {
 	defer s.wg.Done()
 	attempt := 0
@@ -199,15 +202,6 @@ func (s *orderedSender) run() {
 			s.mu.Unlock()
 			return
 		}
-		if s.health.isDead() {
-			// Superseded: the rotation that declared death re-homes these
-			// users from the coordinator's store.
-			s.queue = nil
-			s.releaseLocked()
-			s.mu.Unlock()
-			attempt = 0
-			continue
-		}
 		n := len(s.queue)
 		if n > s.max {
 			n = s.max
@@ -216,6 +210,7 @@ func (s *orderedSender) run() {
 		// enqueue appends past len(s.queue), so nothing writes into the
 		// batch's elements while it is in flight.
 		batch := s.queue[:n:n]
+		drops := s.drops
 		s.inflight = true
 		s.mu.Unlock()
 
@@ -229,6 +224,10 @@ func (s *orderedSender) run() {
 		s.mu.Lock()
 		s.inflight = false
 		switch {
+		case s.drops != drops:
+			// The batch went with the queue of a shard declared dead; the
+			// queue now holds only what was enqueued after.
+			attempt = 0
 		case err == nil:
 			s.consumeLocked(n)
 			s.cm.ObserveBatch(n)
@@ -244,21 +243,12 @@ func (s *orderedSender) run() {
 			s.health.markSuccess()
 			attempt = 0
 		default:
+			// Not acknowledged: keep the batch and send it again.
 			s.health.markFailure()
 			s.cm.ObserveShardRetry(s.shard)
-			s.lastErr = err
 			attempt++
-			if !s.fo.enabled() && attempt >= 2 {
-				// Pre-failover semantics: give up on this batch; the sticky
-				// error surfaces at the next flush (rotation).
-				s.consumeLocked(n)
-				attempt = 0
-				s.releaseLocked()
-				s.mu.Unlock()
-				continue
-			}
 			s.mu.Unlock()
-			s.sleep(backoffFor(s.fo, attempt))
+			s.sleep(backoffFor(attempt))
 			continue
 		}
 		s.releaseLocked()
@@ -266,12 +256,8 @@ func (s *orderedSender) run() {
 	}
 }
 
-// consumeLocked removes the first n items (clamped: a concurrent
-// dropQueue may have emptied the queue under us).
+// consumeLocked removes the first n items.
 func (s *orderedSender) consumeLocked(n int) {
-	if n > len(s.queue) {
-		n = len(s.queue)
-	}
 	s.queue = s.queue[n:]
 }
 
@@ -286,14 +272,14 @@ func (s *orderedSender) sleep(d time.Duration) {
 }
 
 // backoffFor computes the attempt'th retry delay: exponential from
-// RetryBase, capped at RetryMax, plus up to 50% jitter.
-func backoffFor(fo Failover, attempt int) time.Duration {
-	d := fo.RetryBase
-	for i := 1; i < attempt && d < fo.RetryMax; i++ {
+// retryBase, capped at retryMax, plus up to 50% jitter.
+func backoffFor(attempt int) time.Duration {
+	d := retryBase
+	for i := 1; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > fo.RetryMax {
-		d = fo.RetryMax
+	if d > retryMax {
+		d = retryMax
 	}
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }

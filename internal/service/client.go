@@ -23,15 +23,14 @@ type Client struct {
 // surfaces as a timeout error instead of blocking the caller forever.
 const DefaultOpTimeout = 5 * time.Second
 
-// DefaultDialTimeout bounds connection establishment.
-const DefaultDialTimeout = 5 * time.Second
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // DialOption configures a Client at Dial time.
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	dialTimeout time.Duration
-	opTimeout   time.Duration
+	opTimeout time.Duration
 }
 
 // WithOpTimeout bounds each request/response round trip. One absolute
@@ -42,18 +41,13 @@ func WithOpTimeout(d time.Duration) DialOption {
 	return func(cfg *dialConfig) { cfg.opTimeout = d }
 }
 
-// WithDialTimeout bounds connection establishment.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(cfg *dialConfig) { cfg.dialTimeout = d }
-}
-
 // Dial connects to the anonymizer at addr.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{dialTimeout: DefaultDialTimeout, opTimeout: DefaultOpTimeout}
+	cfg := dialConfig{opTimeout: DefaultOpTimeout}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	conn, err := net.DialTimeout("tcp", addr, cfg.dialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("service: dial %s: %w", addr, err)
 	}

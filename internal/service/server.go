@@ -21,6 +21,10 @@ const (
 	acceptBackoffMax = 1 * time.Second
 )
 
+// idleTimeout is the per-connection read deadline: a client that sends
+// nothing for this long is disconnected.
+const idleTimeout = 2 * time.Minute
+
 // Server is the network-facing anonymizer, backed by the epoch
 // re-clustering pipeline: clients upload proximity rankings at any time,
 // rebuilds run in the background per the configured policy (or on
@@ -29,10 +33,9 @@ const (
 // concurrent connections; every request is folded into the server's
 // request metrics.
 type Server struct {
-	numUsers    int
-	k           int
-	workers     int
-	idleTimeout time.Duration
+	numUsers int
+	k        int
+	workers  int
 	// epochOpts is passed through to epoch.New after the mirrored
 	// service options, so pipeline knobs (rebuild policy, incremental
 	// mode, ingest buffers, area estimator, ...) need no per-field
@@ -87,11 +90,6 @@ func WithEpochOptions(opts ...epoch.Option) Option {
 // metrics are always collected regardless).
 func WithMetrics(em *metrics.EpochMetrics) Option { return func(s *Server) { s.em = em } }
 
-// WithIdleTimeout sets the per-connection read deadline: a client that
-// sends nothing for this long is disconnected (default 2m; <= 0
-// disables).
-func WithIdleTimeout(d time.Duration) Option { return func(s *Server) { s.idleTimeout = d } }
-
 // WithTraceRecorder enables request tracing: every handled request gets
 // a root span threaded down through the epoch pipeline, anonymizer, and
 // core stages, and the finished span tree lands in r (newest first, for
@@ -103,10 +101,9 @@ func WithTraceRecorder(r *trace.Recorder) Option { return func(s *Server) { s.tr
 // New creates a server configured by options. WithNumUsers is required.
 func New(opts ...Option) (*Server, error) {
 	s := &Server{
-		k:           10,
-		idleTimeout: 2 * time.Minute,
-		reqMetrics:  metrics.NewRequestMetrics(),
-		conns:       make(map[net.Conn]struct{}),
+		k:          10,
+		reqMetrics: metrics.NewRequestMetrics(),
+		conns:      make(map[net.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -241,7 +238,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	s.track(conn)
 	defer s.untrack(conn)
 	defer conn.Close()
-	ServeLines(ctx, conn, s.idleTimeout, s.reqMetrics, s.HandleEnvelope)
+	ServeLines(ctx, conn, idleTimeout, s.reqMetrics, s.HandleEnvelope)
 }
 
 // HandleEnvelope processes one parsed request; exported so tests (and

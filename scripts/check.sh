@@ -41,6 +41,16 @@ if grep -rnE 'WithHistoryLimit|WithIncremental|\.History\(\)|full-rebuild' --inc
     exit 1
 fi
 
+# The cluster tier has one failure semantics, fail-over, set by
+# WithDeadAfter alone; the fail-over switch and its tuning struct, and
+# the coordinator and service options no binary set, were deleted and
+# none may come back.
+echo "==> no fail-over switch or unused coordinator/service options"
+if grep -rnE 'WithFailover|Failover\{|WithPoolSize|WithDialOptions|WithQueueCapacity|WithShards\(|WithDialTimeout|WithIdleTimeout' --include='*.go' .; then
+    echo "removed option found (fail-over is the only mode: use WithDeadAfter; the other defaults are fixed)" >&2
+    exit 1
+fi
+
 # The epoch upload API takes an UploadRequest struct; the old
 # positional (ctx, user, peers) signature is gone and must stay gone.
 # Positional calls have a third argument; struct-based calls pass
@@ -133,6 +143,16 @@ go test -bench='^BenchmarkCoordinatorUploadBatch$' -benchtime=1x -run '^$' ./int
 # equal the from-scratch union-find's on a twin coordinator.
 echo "==> go test -race -run=TestRehomeMatchesFromScratch (rehome differential)"
 go test -race -count=1 -run='^TestRehomeMatchesFromScratch$' ./internal/cluster
+
+# The failure contract, by name and under the race detector: a forward
+# cut off on the wire is delivered once its shard is reachable again
+# and the next rotation serves every user the single-process answer,
+# and a shard revived after a partition keeps no row of a user that
+# homes elsewhere.
+echo "==> go test -race -run=transport-failure and partition-revival tests"
+go test -race -count=1 -cpu 1,2 \
+    -run='^(TestNoUploadLostAcrossTransportFailure|TestPartitionedShardRevivesClean)$' \
+    ./internal/cluster
 
 # The rehome benchmark, by name: its from-scratch arm is the baseline
 # the lock-hold figures in EXPERIMENTS.md are measured against.
