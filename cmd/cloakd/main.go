@@ -33,7 +33,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -48,7 +47,7 @@ import (
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/service"
 	"nonexposure/internal/trace"
-	"nonexposure/internal/wpg"
+	"nonexposure/internal/workload"
 )
 
 // config is everything main parses from flags, separated so validation
@@ -312,12 +311,11 @@ func runCoordinator(cfg config) error {
 // cloak.
 func runDemo(addr string, n, k int, seed int64) error {
 	fmt.Printf("demo: generating %d devices and measuring proximity\n", n)
-	pts := dataset.CaliforniaLike(n, seed)
-	delta := 2e-3
-	if n != dataset.CaliforniaPOISize {
-		delta *= math.Sqrt(float64(dataset.CaliforniaPOISize) / float64(n))
+	pop, err := workload.NewPopulation(n, dataset.DeltaFor(n), seed)
+	if err != nil {
+		return err
 	}
-	g := wpg.Build(pts, wpg.BuildParams{Delta: delta, MaxPeers: 10})
+	g := pop.Graph()
 	fmt.Printf("demo: proximity graph has %d mutual edges (avg degree %.1f)\n",
 		g.NumEdges(), g.Stats().AvgDegree)
 
@@ -327,12 +325,8 @@ func runDemo(addr string, n, k int, seed int64) error {
 	}
 	defer c.Close()
 
-	for v := int32(0); v < int32(n); v++ {
-		var peers []service.PeerRank
-		for _, e := range g.Neighbors(v) {
-			peers = append(peers, service.PeerRank{Peer: e.To, Rank: e.W})
-		}
-		if err := c.Upload(v, peers); err != nil {
+	for _, v := range pop.Users() {
+		if err := c.Upload(v, workload.Peers(g, v)); err != nil {
 			return fmt.Errorf("upload %d: %w", v, err)
 		}
 	}

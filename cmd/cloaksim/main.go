@@ -2,18 +2,25 @@
 // synthetic population and prints what happened: the cluster, the cloaked
 // region, and the two phases' communication costs.
 //
-// With -load it instead acts as a load generator: -workers concurrent
-// clients hammer an in-process centralized anonymizer with -load cloak
-// requests drawn from a Zipf(-theta) popularity mix over hosts (0 =
-// uniform), reporting throughput, latency percentiles, and the
-// realized skew — the harness behind the serving-concurrency numbers
-// in CHANGES.md.
+// The other modes run the workload phases of internal/workload, the
+// ones the experiment grid (internal/bench) runs: the CaliforniaLike
+// population at the radio range that keeps Table I's neighbour count,
+// devices uploading their ranked WPG peers, a seeded fraction of movers
+// re-uploading each tick, and a Zipf-skewed request replay split across
+// -workers clients.
+//
+// With -load it acts as a load generator: the Zipf(-theta) replay of
+// -load cloak requests (0 = uniform) against an in-process centralized
+// anonymizer, reporting throughput, latency percentiles, and the
+// realized skew.
 //
 // With -churn it drives the epoch re-clustering pipeline under a mobile
-// population: each tick a fraction of the users move (local-wander
-// mobility) and re-upload their proximity rankings, the pipeline
-// rotates a new epoch in the background, and concurrent cloak clients
-// measure availability across the generation swaps.
+// population: each tick the users move (local-wander mobility), the
+// movers re-upload their proximity rankings and a new epoch is rotated
+// in, while concurrent cloak clients measure availability across the
+// generation swaps; a sweep of the whole population ends the run.
+// -cluster runs the same loop against a sharded cloakd cluster behind a
+// routing coordinator, every upload and cloak crossing the wire.
 //
 // With -cell it runs one experiment-grid cell (internal/bench): -reps
 // repetitions of cold build + churn ticks + a Zipf-skewed request replay
@@ -31,6 +38,7 @@
 //	cloaksim -n 5000 -k 10 -host 42 -bound secure -mode distributed
 //	cloaksim -n 20000 -k 10 -load 100000 -workers 32
 //	cloaksim -n 5000 -k 10 -churn 20 -churnfrac 0.2
+//	cloaksim -cluster -shards 2 -n 2000 -k 5 -churn 2
 //	cloaksim -cell -n 1000 -k 5 -churnfrac 0.1 -workers 2 -reps 3
 //	cloaksim -faults 500 -faultseed 1
 package main
@@ -42,14 +50,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nonexposure/cloak"
@@ -61,8 +67,6 @@ import (
 	"nonexposure/internal/geo"
 	"nonexposure/internal/lbs"
 	"nonexposure/internal/metrics"
-	"nonexposure/internal/mobility"
-	"nonexposure/internal/service"
 	"nonexposure/internal/sim"
 	"nonexposure/internal/trace"
 	"nonexposure/internal/workload"
@@ -150,7 +154,7 @@ func (c simConfig) validate() error {
 	if c.workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", c.workers)
 	}
-	if c.churn > 0 && (c.churnFrac <= 0 || c.churnFrac > 1) {
+	if (c.churn > 0 || c.cluster) && (c.churnFrac <= 0 || c.churnFrac > 1) {
 		return fmt.Errorf("-churnfrac must be in (0,1], got %g", c.churnFrac)
 	}
 	if c.loss < 0 || c.loss > 1 {
@@ -192,7 +196,7 @@ func main() {
 	flag.Float64Var(&cfg.loss, "loss", 0, "message loss rate for -network")
 	flag.IntVar(&cfg.nearby, "nearby", 3, "after cloaking, fetch this many nearest POIs (0 = skip)")
 	flag.IntVar(&cfg.load, "load", 0, "load-generator mode: issue this many concurrent cloak requests (0 = off)")
-	flag.IntVar(&cfg.workers, "workers", 16, "concurrent clients for -load and -churn")
+	flag.IntVar(&cfg.workers, "workers", 16, "concurrent cloak clients for -load, -churn, -cluster and -cell, and clustering workers per epoch build")
 	flag.IntVar(&cfg.churn, "churn", 0, "churn mode: run this many mobility ticks through the epoch pipeline (0 = off)")
 	flag.Float64Var(&cfg.churnFrac, "churnfrac", 0.2, "fraction of users re-uploading per churn tick")
 	flag.IntVar(&cfg.faults, "faults", 0, "fault-injection mode: run this many seeded fault scenarios (0 = off)")
@@ -203,7 +207,7 @@ func main() {
 	flag.IntVar(&cfg.ticks, "ticks", 4, "churn ticks per rep for -cell")
 	flag.Float64Var(&cfg.theta, "theta", 0.8, "Zipf skew of the request mix for -cell and -load")
 	flag.BoolVar(&cfg.profiles, "profiles", false, "utility-frontier mode: run the mixed privacy-profile tier mix through the epoch pipeline and report per-tier cloak area vs candidate-set size")
-	flag.BoolVar(&cfg.cluster, "cluster", false, "cluster mode: bring up a sharded cloakd cluster behind a routing coordinator and run the churn+load workload against it")
+	flag.BoolVar(&cfg.cluster, "cluster", false, "cluster mode: bring up a sharded cloakd cluster behind a routing coordinator and run the -churn loop against it (0 -churn ticks = 2)")
 	flag.IntVar(&cfg.shards, "shards", 2, "shard count for -cluster")
 	flag.StringVar(&cfg.cloakdBin, "cloakd-bin", "", "path to a cloakd binary for -cluster: spawn shards as separate OS processes (empty = in-process shards)")
 	flag.IntVar(&cfg.killShard, "kill-shard", -1, "with -cluster: kill this shard after the first epoch and require fail-over to recover every user (-1 = off)")
@@ -211,6 +215,9 @@ func main() {
 	flag.Parse()
 	err := cfg.validate()
 	if err == nil {
+		if cfg.delta == 0 {
+			cfg.delta = dataset.DeltaFor(cfg.n)
+		}
 		switch {
 		case cfg.cluster:
 			err = runCluster(cfg)
@@ -221,9 +228,9 @@ func main() {
 		case cfg.faults > 0:
 			err = runFaults(cfg.faults, cfg.faultSeed)
 		case cfg.churn > 0:
-			err = runChurn(cfg.n, cfg.k, cfg.seed, cfg.delta, cfg.churn, cfg.churnFrac, cfg.workers)
+			err = runChurn(cfg)
 		case cfg.load > 0:
-			err = runLoad(cfg.n, cfg.k, cfg.seed, cfg.delta, cfg.load, cfg.workers, cfg.theta)
+			err = runLoad(cfg)
 		default:
 			err = run(cfg.n, cfg.k, cfg.host, cfg.seed, cfg.mode, cfg.bound, cfg.delta,
 				cfg.network, cfg.loss, cfg.nearby, cfg.showTrace)
@@ -260,153 +267,286 @@ func runGridCell(cfg simConfig) error {
 	return nil
 }
 
-// runChurn is the epoch-pipeline workload: a mobile population keeps
-// re-uploading while concurrent clients cloak, and the report shows how
-// availability held up across the background generation swaps.
-func runChurn(n, k int, seed int64, delta float64, ticks int, frac float64, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if frac <= 0 || frac > 1 {
-		return fmt.Errorf("churnfrac %v outside (0,1]", frac)
-	}
-	if delta == 0 {
-		delta = 2e-3 * math.Sqrt(104770.0/float64(n))
-	}
-	pts := dataset.CaliforniaLike(n, seed)
-	model, err := mobility.NewLocalWander(pts, delta, delta/4, delta/2, seed)
-	if err != nil {
-		return err
-	}
-	em := metrics.NewEpochMetrics()
-	mgr, err := epoch.New(n, epoch.WithK(k), epoch.WithMetrics(em))
-	if err != nil {
-		return err
-	}
-	defer mgr.Close()
+// target is what the churn-under-load loop drives: one process's epoch
+// pipeline (-churn) or a routing coordinator in front of shards
+// (-cluster).
+type target interface {
+	upload(ctx context.Context, user int32, peers []epoch.RankedPeer) error
+	// rotate builds an epoch over every upload so far and returns once
+	// it serves.
+	rotate(ctx context.Context) (rotation, error)
+	// cloak answers one request and names the epoch that served it.
+	cloak(ctx context.Context, host int32) (uint64, error)
+}
 
-	// uploadAll derives every listed user's ranked peer list from the WPG
-	// over the current positions and feeds it to the pipeline.
-	ctx := context.Background()
+// rotation is what one rotate reports.
+type rotation struct {
+	epoch      uint64
+	edges      int
+	failedOver int    // users re-homed off shards declared dead
+	detail     string // the target's own accounting, for the report
+}
+
+// single is the -churn target.
+type single struct {
+	*epoch.Manager
+	em *metrics.EpochMetrics
+}
+
+func newSingle(cfg simConfig) (single, error) {
+	em := metrics.NewEpochMetrics()
+	mgr, err := epoch.New(cfg.n, epoch.WithK(cfg.k), epoch.WithWorkers(cfg.workers), epoch.WithMetrics(em))
+	return single{mgr, em}, err
+}
+
+func (s single) upload(ctx context.Context, user int32, peers []epoch.RankedPeer) error {
+	return s.Upload(ctx, epoch.UploadRequest{User: user, Peers: peers})
+}
+
+func (s single) rotate(ctx context.Context) (rotation, error) {
+	gen, err := s.RotateAndWait(ctx)
+	if err != nil {
+		return rotation{}, err
+	}
+	if gen.BuildErr != nil {
+		return rotation{}, gen.BuildErr
+	}
+	return rotation{epoch: gen.Epoch, edges: gen.Edges,
+		detail: fmt.Sprintf("%d of %d components re-clustered", gen.ShardsRebuilt, gen.ShardsTotal)}, nil
+}
+
+func (s single) cloak(ctx context.Context, host int32) (uint64, error) {
+	res, err := s.Cloak(ctx, host)
+	return res.Epoch, err
+}
+
+// coordinated is the -cluster target.
+type coordinated struct{ *cluster.Coordinator }
+
+func (c coordinated) upload(ctx context.Context, user int32, peers []epoch.RankedPeer) error {
+	return c.Upload(ctx, cluster.UploadRequest{User: user, Peers: peers})
+}
+
+func (c coordinated) rotate(ctx context.Context) (rotation, error) {
+	st, err := c.Rotate(ctx)
+	return rotation{epoch: st.Epoch, edges: st.Edges, failedOver: st.FailedOver,
+		detail: fmt.Sprintf("straddling=%d, %d border replays", st.Straddling, st.Moves)}, err
+}
+
+func (c coordinated) cloak(ctx context.Context, host int32) (uint64, error) {
+	p, err := c.Cloak(ctx, host)
+	if err != nil {
+		return 0, err
+	}
+	return p.Epoch, nil
+}
+
+// churnResult is the outcome of one churn-under-load run.
+type churnResult struct {
+	hammer, sweep workload.Tally
+}
+
+// err fails the run on any hard cloak failure.
+func (r churnResult) err() error {
+	if bad := r.hammer.Failed + r.sweep.Failed; bad > 0 {
+		return fmt.Errorf("%d cloaks failed hard", bad)
+	}
+	return nil
+}
+
+// churnLoad is the churn-under-load loop of -churn and -cluster: upload
+// every user of pop and rotate; start the cloak hammer; run cfg.churn
+// ticks, each moving the users, re-uploading the movers and rotating;
+// stop the hammer; then sweep the whole population, so "unserved" is an
+// exact count, not a sample: a user is unserved only if the target
+// answered with a hard error (a sub-k refusal is the right answer for a
+// user in a component smaller than k). Report lines start with name. A
+// non-nil drill kills its shard once the first epoch serves and keeps
+// the hammer running until the shard has failed over.
+func churnLoad(ctx context.Context, cfg simConfig, pop *workload.Population, name string, t target, drill *killDrill) (churnResult, error) {
 	uploadFrom := func(g *wpg.Graph, users []int32) error {
 		for _, v := range users {
-			var peers []epoch.RankedPeer
-			for _, e := range g.Neighbors(v) {
-				peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
-			}
-			if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers}); err != nil {
-				return err
+			if err := t.upload(ctx, v, workload.Peers(g, v)); err != nil {
+				return fmt.Errorf("upload user %d: %w", v, err)
 			}
 		}
 		return nil
 	}
 
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
+	t0 := time.Now()
+	if err := uploadFrom(pop.Graph(), pop.Users()); err != nil {
+		return churnResult{}, err
 	}
-	g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: delta, MaxPeers: 10})
-	if err := uploadFrom(g, all); err != nil {
-		return err
+	rot, err := t.rotate(ctx)
+	if err != nil {
+		return churnResult{}, err
 	}
-	if _, err := mgr.Rotate(ctx); err != nil {
-		return err
+	fmt.Printf("%s: epoch %d live in %v (%d edges, %s)\n",
+		name, rot.epoch, time.Since(t0).Round(time.Millisecond), rot.edges, rot.detail)
+	if drill != nil {
+		drill.kill()
 	}
-	if err := mgr.Sync(ctx); err != nil {
-		return err
-	}
-	fmt.Printf("churn: epoch 1 live (%d users, %d edges); %d ticks re-uploading %.0f%% per tick\n",
-		n, mgr.Current().Edges, ticks, frac*100)
 
-	// The cloak hammer runs for the whole churn, counting availability.
-	var (
-		wg                   sync.WaitGroup
-		served, unclust, bad atomic.Int64
-		minEp, maxEp         atomic.Uint64
-	)
-	minEp.Store(^uint64(0))
-	reqm := metrics.NewRequestMetrics()
-	stop := make(chan struct{})
+	h := startHammer(ctx, t, cfg.n, cfg.workers)
+	defer h.halt()
+	failedOver := 0
+	for tick := 1; tick <= cfg.churn; tick++ {
+		g, movers := pop.Tick(cfg.churnFrac)
+		if err := uploadFrom(g, movers); err != nil {
+			return churnResult{}, err
+		}
+		rot, err := t.rotate(ctx)
+		if err != nil {
+			return churnResult{}, err
+		}
+		failedOver += rot.failedOver
+		fmt.Printf("%s: tick %d re-uploaded %d movers, rotated to epoch %d (%d edges, %s)\n",
+			name, tick, len(movers), rot.epoch, rot.edges, rot.detail)
+	}
+	if drill != nil {
+		if err := drill.await(ctx, t, failedOver); err != nil {
+			return churnResult{}, err
+		}
+	}
+	h.halt()
+
+	res := churnResult{hammer: h.tally}
+	snap := h.rm.Snapshot()
+	fmt.Printf("%s: churn load %d cloaks from %d workers across epochs %d..%d: availability %.3f%% (%d served, %d unclusterable, %d hard failures)\n",
+		name, res.hammer.Total(), cfg.workers, h.minEp, h.maxEp,
+		100*float64(res.hammer.Served)/float64(max(res.hammer.Total(), 1)),
+		res.hammer.Served, res.hammer.Unclusterable, res.hammer.Failed)
+	fmt.Printf("%s: cloak latency p50=%v p95=%v p99=%v\n", name, snap.P50, snap.P95, snap.P99)
+
+	res.sweep = workload.Replay(pop.Users(), cfg.workers, nil, func(u int32) error {
+		_, err := t.cloak(ctx, u)
+		return err
+	})
+	fmt.Printf("%s: sweep of all %d users: %d served, %d unclusterable, unserved=%d\n",
+		name, cfg.n, res.sweep.Served, res.sweep.Unclusterable, res.sweep.Failed)
+	return res, nil
+}
+
+// hammer is the cloak load that runs through the churn: each of its
+// workers cloaks its own pseudo-random host sequence back to back.
+type hammer struct {
+	stop     chan struct{}
+	haltOnce sync.Once
+	wg       sync.WaitGroup
+	rm       *metrics.RequestMetrics
+
+	mu           sync.Mutex
+	tally        workload.Tally
+	minEp, maxEp uint64
+}
+
+func startHammer(ctx context.Context, t target, n, workers int) *hammer {
+	h := &hammer{stop: make(chan struct{}), rm: metrics.NewRequestMetrics()}
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		h.wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer h.wg.Done()
+			var (
+				tally        workload.Tally
+				minEp, maxEp uint64 // epochs are 1-based: 0 = none served yet
+			)
 			host := int32(w * 2654435761 % n)
 			for {
 				select {
-				case <-stop:
+				case <-h.stop:
+					h.mu.Lock()
+					h.tally.Merge(tally)
+					if minEp != 0 && (h.minEp == 0 || minEp < h.minEp) {
+						h.minEp = minEp
+					}
+					h.maxEp = max(h.maxEp, maxEp)
+					h.mu.Unlock()
 					return
 				default:
 				}
 				host = int32((int64(host)*48271 + 1) % int64(n))
 				t0 := time.Now()
-				res, err := mgr.Cloak(context.Background(), host)
-				ep := res.Epoch
-				reqm.Observe("cloak", time.Since(t0), err == nil)
-				switch {
-				case err == nil:
-					served.Add(1)
-					for old := minEp.Load(); ep < old && !minEp.CompareAndSwap(old, ep); old = minEp.Load() {
+				ep, err := t.cloak(ctx, host)
+				h.rm.Observe("cloak", time.Since(t0), err == nil)
+				tally.Add(err)
+				if err == nil {
+					if minEp == 0 || ep < minEp {
+						minEp = ep
 					}
-					for old := maxEp.Load(); ep > old && !maxEp.CompareAndSwap(old, ep); old = maxEp.Load() {
-					}
-				case strings.Contains(err.Error(), "smaller than k"):
-					unclust.Add(1)
-				default:
-					bad.Add(1)
+					maxEp = max(maxEp, ep)
 				}
 			}
 		}(w)
 	}
+	return h
+}
 
-	rng := rand.New(rand.NewSource(seed))
-	perTick := int(frac * float64(n))
-	if perTick < 1 {
-		perTick = 1
-	}
-	for tick := 0; tick < ticks; tick++ {
-		model.Step(1)
-		g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: delta, MaxPeers: 10})
-		moved := rng.Perm(n)[:perTick]
-		users := make([]int32, perTick)
-		for i, u := range moved {
-			users[i] = int32(u)
-		}
-		if err := uploadFrom(g, users); err != nil {
-			close(stop)
-			wg.Wait()
+// halt stops the hammer and waits for its workers; later calls do
+// nothing.
+func (h *hammer) halt() {
+	h.haltOnce.Do(func() {
+		close(h.stop)
+		h.wg.Wait()
+	})
+}
+
+// killDrill is -kill-shard: kill one shard once the first epoch serves,
+// then, after the ticks and with the hammer still running, keep
+// rotating until a rotation declares the shard dead and fails its users
+// over. The rest of the run must degrade to retries, never hard
+// failures, and end with every user served by the survivors.
+type killDrill struct {
+	index int
+	shard *cluster.Shard
+}
+
+func (d *killDrill) kill() {
+	fmt.Printf("cluster: killing shard %d (%s)\n", d.index, d.shard.Addr)
+	_ = d.shard.Kill() // a kill that did not take fails await instead
+}
+
+func (d *killDrill) await(ctx context.Context, t target, failedOver int) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for failedOver == 0 && time.Now().Before(deadline) {
+		time.Sleep(250 * time.Millisecond)
+		rot, err := t.rotate(ctx)
+		if err != nil {
 			return err
 		}
-		if _, err := mgr.Rotate(ctx); err != nil && err != epoch.ErrNoNewUploads {
-			close(stop)
-			wg.Wait()
-			return err
-		}
+		failedOver += rot.failedOver
 	}
-	if err := mgr.Sync(ctx); err != nil {
+	if failedOver == 0 {
+		return fmt.Errorf("shard %d was killed but never failed over", d.index)
+	}
+	fmt.Printf("cluster: failed over %d users off dead shard %d\n", failedOver, d.index)
+	return nil
+}
+
+// runChurn is -churn: the churn-under-load loop against one process's
+// epoch pipeline, then the pipeline's own build accounting.
+func runChurn(cfg simConfig) error {
+	pop, err := workload.NewPopulation(cfg.n, cfg.delta, cfg.seed)
+	if err != nil {
 		return err
 	}
-	close(stop)
-	wg.Wait()
-
-	total := served.Load() + unclust.Load() + bad.Load()
-	snap := reqm.Snapshot()
-	es := em.Snapshot()
-	fmt.Printf("churn: %d cloaks from %d workers across epochs %d..%d\n",
-		total, workers, minEp.Load(), maxEp.Load())
-	fmt.Printf("churn: availability %.3f%% (%d served, %d unclusterable, %d hard failures)\n",
-		100*float64(served.Load())/float64(total), served.Load(), unclust.Load(), bad.Load())
-	fmt.Printf("churn: cloak latency p50=%v p95=%v p99=%v\n", snap.P50, snap.P95, snap.P99)
+	s, err := newSingle(cfg)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	fmt.Printf("churn: single process, population %d, k=%d, delta %.3g\n", cfg.n, cfg.k, cfg.delta)
+	res, err := churnLoad(context.Background(), cfg, pop, "churn", s, nil)
+	if err != nil {
+		return err
+	}
+	es := s.em.Snapshot()
 	fmt.Printf("churn: pipeline %s\n", es)
 	if es.ShardsTotal > 0 {
 		fmt.Printf("churn: shard reuse %.1f%% (%d of %d shards spliced from the previous generation)\n",
 			100*(1-float64(es.ShardsRebuilt)/float64(es.ShardsTotal)),
 			es.ShardsTotal-es.ShardsRebuilt, es.ShardsTotal)
 	}
-	if bad.Load() > 0 {
-		return fmt.Errorf("%d cloaks failed hard during swaps", bad.Load())
-	}
-	return nil
+	return res.err()
 }
 
 // runProfiles is the utility-frontier mode: the mixed privacy-profile
@@ -421,16 +561,16 @@ func runChurn(n, k int, seed int64, delta float64, ticks int, frac float64, work
 // is reproducible.
 func runProfiles(cfg simConfig) error {
 	n, k, seed := cfg.n, cfg.k, cfg.seed
-	delta := cfg.delta
-	if delta == 0 {
-		delta = 2e-3 * math.Sqrt(104770.0/float64(n))
-	}
 	nn := cfg.nearby
 	if nn < 1 {
 		nn = 3
 	}
-	pts := dataset.CaliforniaLike(n, seed)
-	profs := bench.ProfileMix(bench.ProfileMixMixed, n, k, delta, seed)
+	pop, err := workload.NewPopulation(n, cfg.delta, seed)
+	if err != nil {
+		return err
+	}
+	pts := pop.Model.Positions() // nobody moves: the population stays home
+	profs := bench.ProfileMix(bench.ProfileMixMixed, n, k, cfg.delta, seed)
 	bbox := func(members []int32) geo.Rect {
 		r := geo.EmptyRect()
 		for _, v := range members {
@@ -448,14 +588,10 @@ func runProfiles(cfg simConfig) error {
 	defer mgr.Close()
 
 	ctx := context.Background()
-	g := wpg.Build(pts, wpg.BuildParams{Delta: delta, MaxPeers: 10})
-	for v := int32(0); v < int32(n); v++ {
-		var peers []epoch.RankedPeer
-		for _, e := range g.Neighbors(v) {
-			peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
-		}
+	g := pop.Graph()
+	for _, v := range pop.Users() {
 		prof := profs[v] // zero for unprofiled users: the explicit default
-		if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers, Profile: &prof}); err != nil {
+		if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: workload.Peers(g, v), Profile: &prof}); err != nil {
 			return err
 		}
 	}
@@ -592,32 +728,29 @@ func runFaults(count int, base int64) error {
 	return nil
 }
 
-// runLoad is the load-generator mode: a centralized anonymizer serving
-// `requests` cloak calls from `workers` concurrent clients, with hosts
-// drawn from a Zipf(theta) popularity distribution so hot users are
-// hammered the way real traffic hammers hot cells (theta 0 = uniform).
-// The very first request triggers the component-parallel whole-graph
-// clustering; everything after rides the registry read path.
-func runLoad(n, k int, seed int64, delta float64, requests, workers int, theta float64) error {
-	if workers < 1 {
-		workers = 1
+// runLoad is the load-generator mode: the Zipf(theta) replay of
+// -load cloak requests from -workers concurrent clients against a
+// centralized anonymizer, so hot users are hammered the way real
+// traffic hammers hot cells (theta 0 = uniform). The very first request
+// triggers the component-parallel whole-graph clustering; everything
+// after rides the registry read path.
+func runLoad(cfg simConfig) error {
+	pop, err := workload.NewPopulation(cfg.n, cfg.delta, cfg.seed)
+	if err != nil {
+		return err
 	}
-	if delta == 0 {
-		delta = 2e-3 * math.Sqrt(104770.0/float64(n))
-	}
-	pts := dataset.CaliforniaLike(n, seed)
-	g := wpg.Build(pts, wpg.BuildParams{Delta: delta, MaxPeers: 10})
+	g := pop.Graph()
 	fmt.Printf("load: %d users, %d proximity edges, %d components\n",
 		g.NumVertices(), g.NumEdges(), len(g.Components()))
 
 	// Draw the whole request stream up front (seeded: reruns replay the
 	// same stream) and measure the skew we actually realized rather than
 	// restating the theta parameter.
-	hosts, err := workload.ZipfHosts(n, requests, theta, seed+1)
+	hosts, err := workload.ZipfHosts(cfg.n, cfg.load, cfg.theta, cfg.seed+1)
 	if err != nil {
 		return err
 	}
-	perHost := make(map[int32]int, n)
+	perHost := make(map[int32]int, cfg.n)
 	for _, h := range hosts {
 		perHost[h]++
 	}
@@ -626,69 +759,43 @@ func runLoad(n, k int, seed int64, delta float64, requests, workers int, theta f
 		counts = append(counts, c)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	top := len(counts) / 100
-	if top < 1 {
-		top = 1
-	}
+	top := max(len(counts)/100, 1)
 	topShare := 0
 	for _, c := range counts[:top] {
 		topShare += c
 	}
 	fmt.Printf("load: zipf theta=%g request mix: %d distinct hosts, top 1%% of hosts take %.1f%% of requests\n",
-		theta, len(perHost), 100*float64(topShare)/float64(requests))
+		cfg.theta, len(perHost), 100*float64(topShare)/float64(cfg.load))
 
-	anon := anonymizer.NewServer(g, anonymizer.WithK(k))
-	m := metrics.NewRequestMetrics()
-
+	ctx := context.Background()
+	anon := anonymizer.NewServer(g, anonymizer.WithK(cfg.k))
 	buildStart := time.Now()
-	if _, cost, err := anon.Cloak(context.Background(), 0); err == nil {
+	if _, cost, err := anon.Cloak(ctx, 0); err == nil {
 		fmt.Printf("load: first request clustered the graph in %v (billed %d messages)\n",
 			time.Since(buildStart), cost)
 	} else {
 		fmt.Printf("load: first request: %v\n", err)
 	}
 
-	var (
-		wg     sync.WaitGroup
-		failMu sync.Mutex
-		fails  int
-	)
+	m := metrics.NewRequestMetrics()
 	start := time.Now()
-	per := requests / workers
-	extra := requests % workers
-	next := 0
-	for w := 0; w < workers; w++ {
-		count := per
-		if w < extra {
-			count++
-		}
-		mine := hosts[next : next+count]
-		next += count
-		wg.Add(1)
-		go func(mine []int32) {
-			defer wg.Done()
-			for _, host := range mine {
-				t0 := time.Now()
-				_, _, err := anon.Cloak(context.Background(), host)
-				m.Observe("cloak", time.Since(t0), err == nil)
-				if err != nil {
-					failMu.Lock()
-					fails++
-					failMu.Unlock()
-				}
-			}
-		}(mine)
-	}
-	wg.Wait()
+	tally := workload.Replay(hosts, cfg.workers, m, func(host int32) error {
+		_, _, err := anon.Cloak(ctx, host)
+		return err
+	})
 	elapsed := time.Since(start)
 
 	snap := m.Snapshot()
 	fmt.Printf("load: %d requests from %d workers in %v (%.0f req/s)\n",
-		snap.Total, workers, elapsed.Round(time.Millisecond), float64(snap.Total)/elapsed.Seconds())
-	fmt.Printf("load: %d unclusterable hosts (undersized components)\n", fails)
+		snap.Total, cfg.workers, elapsed.Round(time.Millisecond), float64(snap.Total)/elapsed.Seconds())
+	fmt.Printf("load: %d unclusterable requests (undersized components), %d hard failures\n",
+		tally.Unclusterable, tally.Failed)
 	fmt.Printf("load: latency p50=%v p95=%v p99=%v\n", snap.P50, snap.P95, snap.P99)
 	fmt.Printf("load: %d clusters cover %d of %d users\n",
-		anon.Registry().NumClusters(), anon.Registry().NumAssigned(), n)
+		anon.Registry().NumClusters(), anon.Registry().NumAssigned(), cfg.n)
+	if tally.Failed > 0 {
+		return fmt.Errorf("%d cloaks failed hard, first: %w", tally.Failed, tally.Err)
+	}
 	return nil
 }
 
@@ -714,11 +821,6 @@ func run(n, k, host int, seed int64, mode, bound string, delta float64, overNet 
 		cfg.Bound = cloak.BoundOptimal
 	default:
 		return fmt.Errorf("unknown bounding algorithm %q", bound)
-	}
-	if delta == 0 {
-		// Keep the expected radio-neighbor count at the paper's default
-		// regardless of population size.
-		delta = 2e-3 * math.Sqrt(104770.0/float64(n))
 	}
 	cfg.Delta = delta
 
@@ -799,243 +901,40 @@ func run(n, k, host int, seed int64, mode, bound string, delta float64, overNet 
 	return nil
 }
 
-// runCluster is the multi-process acceptance workload: it brings up
-// -shards cloakd shards (in this process, or as child processes when
-// -cloakd-bin is given), fronts them with a routing coordinator, and
-// drives the same churn+load shape as -churn — except every upload and
-// cloak crosses the real v1 wire protocol and shard routing. After the
-// churn it sweeps the full population so "unserved" is an exact count,
-// not a sample: a user is unserved only if the cluster returned a hard
-// error (legitimately sub-k components don't count — a single cloakd
-// rejects those too). It finishes by scraping each shard's /metrics and
-// printing the coordinator's routing counters.
+// runCluster is -cluster, the multi-process acceptance workload: it
+// brings up -shards cloakd shards (in this process, or as child
+// processes when -cloakd-bin is given), fronts them with a routing
+// coordinator, and runs the churn-under-load loop of -churn against it,
+// so every upload and cloak crosses the real v1 wire protocol and shard
+// routing. It finishes by scraping each shard's /metrics and printing
+// the coordinator's routing counters.
 func runCluster(cfg simConfig) error {
-	n, k, seed := cfg.n, cfg.k, cfg.seed
-	nShards := cfg.shards
-	workers := cfg.workers
-	if workers < 1 {
-		workers = 1
-	}
-	ticks := cfg.churn
-	if ticks == 0 {
-		ticks = 2
-	}
-	frac := cfg.churnFrac
-	delta := cfg.delta
-	if delta == 0 {
-		delta = 2e-3 * math.Sqrt(104770.0/float64(n))
-	}
-	pts := dataset.CaliforniaLike(n, seed)
-	keys, err := cluster.HilbertKeys(pts, cluster.DefaultKeyOrder)
+	pop, err := workload.NewPopulation(cfg.n, cfg.delta, cfg.seed)
 	if err != nil {
 		return err
 	}
-	model, err := mobility.NewLocalWander(pts, delta, delta/4, delta/2, seed)
-	if err != nil {
-		return err
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	mode := "in-process"
-	var shards []*cluster.Shard
-	if cfg.cloakdBin != "" {
-		mode = "child-process"
-		shards, err = cluster.SpawnProcesses(ctx, cfg.cloakdBin, nShards,
-			cluster.ShardConfig{NumUsers: n, K: k, Workers: workers})
-	} else {
-		shards, err = cluster.SpawnInProcess(ctx, nShards,
-			cluster.ShardConfig{NumUsers: n, K: k, Workers: workers, Admin: true})
-	}
+	c, err := startCluster(ctx, cfg, pop.Model.Positions())
 	if err != nil {
 		return err
 	}
-	defer cluster.CloseShards(shards)
+	defer c.close()
 
-	cm := metrics.NewClusterMetrics()
-	copts := []cluster.Option{
-		cluster.WithNumUsers(n),
-		cluster.WithK(k),
-		cluster.WithShardAddrs(cluster.Addrs(shards)...),
-		cluster.WithKeys(keys),
-		cluster.WithClusterMetrics(cm),
-		cluster.WithDeadAfter(cfg.failoverAfter),
+	if cfg.churn == 0 {
+		cfg.churn = 2
 	}
-	coord, err := cluster.New(copts...)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	fmt.Printf("cluster: %d %s shards, population %d, k=%d, delta %.3g\n",
-		nShards, mode, n, k, delta)
-
-	uploadFrom := func(g *wpg.Graph, users []int32) error {
-		for _, v := range users {
-			var peers []service.PeerRank
-			for _, e := range g.Neighbors(v) {
-				peers = append(peers, service.PeerRank{Peer: e.To, Rank: e.W})
-			}
-			if err := coord.Upload(ctx, cluster.UploadRequest{User: v, Peers: peers}); err != nil {
-				return fmt.Errorf("upload user %d: %w", v, err)
-			}
-		}
-		return nil
-	}
-
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	t0 := time.Now()
-	g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: delta, MaxPeers: 10})
-	if err := uploadFrom(g, all); err != nil {
-		return err
-	}
-	st, err := coord.Rotate(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cluster: epoch %d live in %v (%d edges, straddling=%d, %d border replays)\n",
-		st.Epoch, time.Since(t0).Round(time.Millisecond), st.Edges, st.Straddling, st.Moves)
-
-	// Crash drill: kill one shard after the first epoch is live. The rest
-	// of the run must degrade to retries, never hard failures, and end
-	// with every user served by the survivors.
-	failedOver := 0
+	var drill *killDrill
 	if cfg.killShard >= 0 {
-		fmt.Printf("cluster: killing shard %d (%s)\n", cfg.killShard, shards[cfg.killShard].Addr)
-		_ = shards[cfg.killShard].Kill()
+		drill = &killDrill{index: cfg.killShard, shard: c.shards[cfg.killShard]}
 	}
-
-	// Concurrent cloak hammer for the whole churn phase, like -churn but
-	// through the coordinator.
-	var (
-		wg                   sync.WaitGroup
-		served, unclust, bad atomic.Int64
-	)
-	reqm := metrics.NewRequestMetrics()
-	stop := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			host := int32(w * 2654435761 % n)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				host = int32((int64(host)*48271 + 1) % int64(n))
-				t0 := time.Now()
-				_, err := coord.Cloak(context.Background(), host)
-				reqm.Observe("cloak", time.Since(t0), err == nil)
-				switch {
-				case err == nil:
-					served.Add(1)
-				case strings.Contains(err.Error(), "smaller than k"):
-					unclust.Add(1)
-				default:
-					bad.Add(1)
-				}
-			}
-		}(w)
+	res, err := churnLoad(ctx, cfg, pop, "cluster", coordinated{c.coord}, drill)
+	if err != nil {
+		return err
 	}
-
-	rng := rand.New(rand.NewSource(seed))
-	perTick := int(frac * float64(n))
-	if perTick < 1 {
-		perTick = 1
-	}
-	for tick := 1; tick <= ticks; tick++ {
-		model.Step(1)
-		g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: delta, MaxPeers: 10})
-		moved := rng.Perm(n)[:perTick]
-		users := make([]int32, perTick)
-		for i, u := range moved {
-			users[i] = int32(u)
-		}
-		if err := uploadFrom(g, users); err != nil {
-			close(stop)
-			wg.Wait()
-			return err
-		}
-		st, err := coord.Rotate(ctx)
-		if err != nil {
-			close(stop)
-			wg.Wait()
-			return err
-		}
-		failedOver += st.FailedOver
-		fmt.Printf("cluster: tick %d rotated to epoch %d (%d users re-homed)\n",
-			tick, st.Epoch, st.Moves)
-	}
-
-	// After a kill, keep rotating (cloak load still running) until a
-	// rotation declares the shard dead and re-homes its users.
-	if cfg.killShard >= 0 {
-		deadline := time.Now().Add(30 * time.Second)
-		for failedOver == 0 && time.Now().Before(deadline) {
-			time.Sleep(250 * time.Millisecond)
-			st, err := coord.Rotate(ctx)
-			if err != nil {
-				close(stop)
-				wg.Wait()
-				return err
-			}
-			failedOver += st.FailedOver
-		}
-		if failedOver == 0 {
-			close(stop)
-			wg.Wait()
-			return fmt.Errorf("shard %d was killed but never failed over", cfg.killShard)
-		}
-		fmt.Printf("cluster: failed over %d users off dead shard %d\n", failedOver, cfg.killShard)
-	}
-	close(stop)
-	wg.Wait()
-
-	total := served.Load() + unclust.Load() + bad.Load()
-	snap := reqm.Snapshot()
-	fmt.Printf("cluster: churn load %d cloaks from %d workers: %d served, %d unclusterable, %d hard failures\n",
-		total, workers, served.Load(), unclust.Load(), bad.Load())
-	fmt.Printf("cluster: cloak latency p50=%v p95=%v p99=%v\n", snap.P50, snap.P95, snap.P99)
-
-	// Full-population sweep: every user must be either served or
-	// legitimately sub-k. Anything else counts as unserved.
-	var swServed, swUnclust, swBad atomic.Int64
-	var swg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		swg.Add(1)
-		go func(lo, hi int32) {
-			defer swg.Done()
-			for u := lo; u < hi; u++ {
-				_, err := coord.Cloak(context.Background(), u)
-				switch {
-				case err == nil:
-					swServed.Add(1)
-				case strings.Contains(err.Error(), "smaller than k"):
-					swUnclust.Add(1)
-				default:
-					swBad.Add(1)
-				}
-			}
-		}(int32(lo), int32(hi))
-	}
-	swg.Wait()
-	fmt.Printf("cluster: sweep of all %d users: %d served, %d unclusterable, unserved=%d\n",
-		n, swServed.Load(), swUnclust.Load(), swBad.Load())
 
 	// Per-shard view, over each shard's own admin endpoint.
-	for i, s := range shards {
+	for i, s := range c.shards {
 		if s.AdminAddr == "" {
 			continue
 		}
@@ -1051,23 +950,72 @@ func runCluster(cfg simConfig) error {
 		fmt.Printf("cluster: shard %d (%s): %d requests, %d errors, %d epoch swaps\n",
 			i, s.Addr, reqs, errs, swaps)
 	}
-	cs := cm.Snapshot()
+	cs := c.cm.Snapshot()
 	fmt.Printf("cluster: coordinator %s\n", cs)
 	for _, op := range cs.Routed {
 		fmt.Printf("cluster: routed %s=%d\n", op.Op, op.Count)
 	}
 
-	if err := coord.Close(); err != nil {
-		return err
-	}
-	if err := cluster.CloseShards(shards); err != nil {
+	if err := c.close(); err != nil {
 		return err
 	}
 	fmt.Println("cluster: clean shutdown")
-	if nBad := bad.Load() + swBad.Load(); nBad > 0 {
-		return fmt.Errorf("%d cloaks failed hard", nBad)
+	return res.err()
+}
+
+// runningCluster is -cluster's system under test: the shards and the
+// coordinator in front of them.
+type runningCluster struct {
+	shards []*cluster.Shard
+	coord  *cluster.Coordinator
+	cm     *metrics.ClusterMetrics
+}
+
+// startCluster spawns the shards and starts the coordinator, which
+// places users by the Hilbert keys of their home positions.
+func startCluster(ctx context.Context, cfg simConfig, home []geo.Point) (*runningCluster, error) {
+	keys, err := cluster.HilbertKeys(home, cluster.DefaultKeyOrder)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	mode := "in-process"
+	var shards []*cluster.Shard
+	if cfg.cloakdBin != "" {
+		mode = "child-process"
+		shards, err = cluster.SpawnProcesses(ctx, cfg.cloakdBin, cfg.shards,
+			cluster.ShardConfig{NumUsers: cfg.n, K: cfg.k, Workers: cfg.workers})
+	} else {
+		shards, err = cluster.SpawnInProcess(ctx, cfg.shards,
+			cluster.ShardConfig{NumUsers: cfg.n, K: cfg.k, Workers: cfg.workers, Admin: true})
+	}
+	if err != nil {
+		return nil, err
+	}
+	cm := metrics.NewClusterMetrics()
+	coord, err := cluster.New(
+		cluster.WithNumUsers(cfg.n),
+		cluster.WithK(cfg.k),
+		cluster.WithShardAddrs(cluster.Addrs(shards)...),
+		cluster.WithKeys(keys),
+		cluster.WithClusterMetrics(cm),
+		cluster.WithDeadAfter(cfg.failoverAfter),
+	)
+	if err != nil {
+		cluster.CloseShards(shards)
+		return nil, err
+	}
+	fmt.Printf("cluster: %d %s shards, population %d, k=%d, delta %.3g\n",
+		cfg.shards, mode, cfg.n, cfg.k, cfg.delta)
+	return &runningCluster{shards: shards, coord: coord, cm: cm}, nil
+}
+
+// close stops the coordinator, then the shards; both are idempotent.
+func (c *runningCluster) close() error {
+	err := c.coord.Close()
+	if serr := cluster.CloseShards(c.shards); err == nil {
+		err = serr
+	}
+	return err
 }
 
 // scrapeShard fetches one shard's Prometheus /metrics page and folds it

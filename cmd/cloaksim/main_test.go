@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"nonexposure/internal/cluster"
+	"nonexposure/internal/dataset"
+	"nonexposure/internal/workload"
 )
 
 func TestSimConfigValidate(t *testing.T) {
@@ -27,6 +30,11 @@ func TestSimConfigValidate(t *testing.T) {
 		{"churnfrac zero with churn", func(c *simConfig) { c.churn = 5; c.churnFrac = 0 }, "-churnfrac must be in (0,1]"},
 		{"churnfrac above one with churn", func(c *simConfig) { c.churn = 5; c.churnFrac = 1.2 }, "-churnfrac must be in (0,1]"},
 		{"churnfrac ignored without churn", func(c *simConfig) { c.churnFrac = 7 }, ""},
+		{"cluster mode", func(c *simConfig) { c.cluster = true; c.shards = 2 }, ""},
+		{"churnfrac zero with cluster", func(c *simConfig) { c.cluster = true; c.shards = 2; c.churnFrac = 0 },
+			"-churnfrac must be in (0,1]"},
+		{"churnfrac above one with cluster", func(c *simConfig) { c.cluster = true; c.shards = 2; c.churnFrac = 1.5 },
+			"-churnfrac must be in (0,1]"},
 		{"negative loss", func(c *simConfig) { c.loss = -0.5 }, "-loss must be in [0,1]"},
 		{"loss above one", func(c *simConfig) { c.loss = 1.5 }, "-loss must be in [0,1]"},
 		{"negative nearby", func(c *simConfig) { c.nearby = -1 }, "-nearby must be >= 0"},
@@ -85,5 +93,65 @@ func TestSimConfigValidate(t *testing.T) {
 				t.Fatalf("validate() = %v, want error containing %q", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestChurnLoopSameOnBothTargets runs the churn-under-load loop of
+// -churn and -cluster with one seed against one process's epoch
+// pipeline and against a 2-shard in-process cluster. Neither may fail a
+// cloak hard, and the closing sweep must serve and refuse the same
+// numbers of users on both.
+func TestChurnLoopSameOnBothTargets(t *testing.T) {
+	cfg := simConfig{n: 800, k: 5, seed: 42, workers: 2, churn: 2, churnFrac: 0.2, shards: 2,
+		killShard: -1, failoverAfter: cluster.DefaultDeadAfter}
+	cfg.delta = dataset.DeltaFor(cfg.n)
+	ctx := context.Background()
+
+	pop, err := workload.NewPopulation(cfg.n, cfg.delta, cfg.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSingle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	one, err := churnLoad(ctx, cfg, pop, "churn", s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.cluster = true
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	pop, err = workload.NewPopulation(cfg.n, cfg.delta, cfg.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := startCluster(ctx, cfg, pop.Model.Positions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	two, err := churnLoad(ctx, cfg, pop, "cluster", coordinated{c.coord}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, r := range map[string]churnResult{"single process": one, "cluster": two} {
+		if err := r.err(); err != nil {
+			t.Errorf("%s: %v (hammer %+v, sweep %+v)", name, err, r.hammer, r.sweep)
+		}
+		if r.hammer.Total() == 0 {
+			t.Errorf("%s: the hammer issued no cloak", name)
+		}
+	}
+	if one.sweep.Served != two.sweep.Served || one.sweep.Unclusterable != two.sweep.Unclusterable {
+		t.Errorf("sweep: single process %d served, %d unclusterable; cluster %d served, %d unclusterable",
+			one.sweep.Served, one.sweep.Unclusterable, two.sweep.Served, two.sweep.Unclusterable)
+	}
+	if one.sweep.Served == 0 || one.sweep.Unclusterable == 0 {
+		t.Errorf("sweep %+v exercises only one outcome", one.sweep)
 	}
 }

@@ -50,7 +50,6 @@ type Server struct {
 	done     chan struct{}
 	buildErr error
 	skipped  atomic.Int64
-	built    atomic.Bool
 }
 
 // Option configures a Server.
@@ -106,7 +105,6 @@ func (s *Server) runBuild(ctx context.Context) {
 		return
 	}
 	s.skipped.Store(int64(skipped))
-	s.built.Store(true)
 }
 
 // Build clusters the whole graph now (idempotent; concurrent calls
@@ -161,7 +159,6 @@ func (s *Server) Adopt(ctx context.Context, clusters []*core.Cluster, skipped in
 		return s.buildErr
 	}
 	s.skipped.Store(int64(skipped))
-	s.built.Store(true)
 	return nil
 }
 
@@ -201,6 +198,3 @@ func (s *Server) Cloak(ctx context.Context, host int32) (cluster *core.Cluster, 
 func (s *Server) Unclusterable() int {
 	return int(s.skipped.Load())
 }
-
-// Built reports whether the one-time clustering has completed.
-func (s *Server) Built() bool { return s.built.Load() }

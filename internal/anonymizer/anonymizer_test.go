@@ -63,8 +63,8 @@ func TestBuildMakesCloakFree(t *testing.T) {
 	if err := s.Build(bg); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Built() {
-		t.Fatal("Built() = false after Build")
+	if s.Registry().NumClusters() == 0 {
+		t.Fatal("no cluster registered after Build")
 	}
 	// Build is idempotent.
 	if err := s.Build(bg); err != nil {
@@ -198,8 +198,8 @@ func TestCloakConcurrentFirstRequests(t *testing.T) {
 	if costTotal.Load() != int64(g.NumVertices()) {
 		t.Errorf("total billed cost = %d, want %d (one population upload)", costTotal.Load(), g.NumVertices())
 	}
-	if !s.Built() {
-		t.Error("Built() = false after a successful first request")
+	if s.Registry().NumClusters() == 0 {
+		t.Error("no cluster registered after a successful first request")
 	}
 	if err := s.Registry().CheckReciprocity(); err != nil {
 		t.Fatal(err)
@@ -279,8 +279,8 @@ func TestAdoptInstallsExternalClusters(t *testing.T) {
 	if err := s.Adopt(bg, clusters, skipped); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Built() {
-		t.Fatal("Built() = false after Adopt")
+	if got := s.Registry().NumClusters(); got != len(clusters) {
+		t.Fatalf("%d clusters registered after Adopt, want %d", got, len(clusters))
 	}
 	if s.Unclusterable() != skipped {
 		t.Errorf("Unclusterable = %d, want %d", s.Unclusterable(), skipped)

@@ -9,14 +9,14 @@
 // re-running the same grid with the same seed must reproduce every
 // non-timing field byte-identically.
 //
-// Each cell rep drives the full pipeline the way cloaksim -churn does,
-// but on a deterministic schedule so outcome counts cannot depend on
-// scheduling: upload the whole population, rotate, sync; then run
-// Ticks churn rounds (move a seeded fraction of users, re-upload,
-// rotate, sync — the synced rotates are what the rebuild-latency
-// metric times); then replay a Zipf(theta)-skewed request mix of
-// Requests cloaks split across Workers concurrent clients against the
-// final, fixed generation.
+// Each cell rep runs internal/workload's phases, the ones cloaksim
+// -churn and -load run too, on a deterministic schedule so outcome
+// counts cannot depend on scheduling: upload the whole population,
+// rotate, sync; then run Ticks churn rounds (move a seeded fraction of
+// users, re-upload, rotate, sync — the synced rotates are what the
+// rebuild-latency metric times); then replay a Zipf(theta)-skewed
+// request mix of Requests cloaks split across Workers concurrent
+// clients against the final, fixed generation.
 package bench
 
 import (
@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"nonexposure/internal/core"
@@ -38,7 +37,6 @@ import (
 	"nonexposure/internal/epoch"
 	"nonexposure/internal/geo"
 	"nonexposure/internal/metrics"
-	"nonexposure/internal/mobility"
 	"nonexposure/internal/workload"
 	"nonexposure/internal/wpg"
 )
@@ -433,11 +431,8 @@ func ProfileMix(mix string, n, k int, delta float64, seed int64) map[int32]core.
 
 // runRep executes the cell protocol once.
 func runRep(p CellParams, cfg CellConfig) (repOut, error) {
-	// Keep the expected radio-neighbor count at the paper's default
-	// regardless of population size (same rule as cloaksim).
-	delta := 2e-3 * math.Sqrt(104770.0/float64(p.N))
-	pts := dataset.CaliforniaLike(p.N, cfg.Seed)
-	model, err := mobility.NewLocalWander(pts, delta, delta/4, delta/2, cfg.Seed)
+	delta := dataset.DeltaFor(p.N)
+	pop, err := workload.NewPopulation(p.N, delta, cfg.Seed)
 	if err != nil {
 		return repOut{}, err
 	}
@@ -450,7 +445,7 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 		// bounding-box estimator. Positions are stable during a build —
 		// the model only steps between synced rotates.
 		opts = append(opts, epoch.WithAreaEstimator(func(members []int32) (float64, bool) {
-			pos := model.Positions()
+			pos := pop.Model.Positions()
 			r := geo.EmptyRect()
 			for _, v := range members {
 				r = r.ExpandToInclude(pos[v])
@@ -467,10 +462,6 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 	ctx := context.Background()
 	uploadFrom := func(g *wpg.Graph, users []int32) error {
 		for _, v := range users {
-			var peers []epoch.RankedPeer
-			for _, e := range g.Neighbors(v) {
-				peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
-			}
 			// Profiled cells restate each user's profile on every upload
 			// (zero for unprofiled users); profile-free cells send none at
 			// all, which keeps their request stream identical to the
@@ -480,7 +471,7 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 				p := profs[v]
 				prof = &p
 			}
-			if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers, Profile: prof}); err != nil {
+			if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: workload.Peers(g, v), Profile: prof}); err != nil {
 				return err
 			}
 		}
@@ -488,13 +479,8 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 	}
 
 	// Phase 1: cold build.
-	all := make([]int32, p.N)
-	for i := range all {
-		all[i] = int32(i)
-	}
 	t0 := time.Now()
-	g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: delta, MaxPeers: 10})
-	if err := uploadFrom(g, all); err != nil {
+	if err := uploadFrom(pop.Graph(), pop.Users()); err != nil {
 		return repOut{}, err
 	}
 	if _, err := mgr.Rotate(ctx); err != nil {
@@ -506,20 +492,9 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 	initialBuild := time.Since(t0)
 
 	// Phase 2: churn ticks, each a timed synced rebuild.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	perTick := int(p.ChurnFrac * float64(p.N))
-	if perTick < 1 {
-		perTick = 1
-	}
 	var rebuildTotal time.Duration
 	for tick := 0; tick < cfg.Ticks; tick++ {
-		model.Step(1)
-		g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: delta, MaxPeers: 10})
-		moved := rng.Perm(p.N)[:perTick]
-		users := make([]int32, perTick)
-		for i, u := range moved {
-			users[i] = int32(u)
-		}
+		g, users := pop.Tick(p.ChurnFrac)
 		t0 := time.Now()
 		if err := uploadFrom(g, users); err != nil {
 			return repOut{}, err
@@ -534,63 +509,19 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 	}
 
 	// Phase 3: Zipf request mix against the final, fixed generation.
-	// Worker w owns a deterministic contiguous slice of the stream, so
-	// outcome counts are scheduling-independent.
 	hosts, err := workload.ZipfHosts(p.N, cfg.Requests, cfg.Theta, cfg.Seed+1)
 	if err != nil {
 		return repOut{}, err
 	}
 	reqm := metrics.NewRequestMetrics()
-	var (
-		wg             sync.WaitGroup
-		mu             sync.Mutex
-		served, unclus int
-		hardErr        error
-	)
-	per := len(hosts) / p.Workers
-	extra := len(hosts) % p.Workers
 	start := time.Now()
-	lo := 0
-	for w := 0; w < p.Workers; w++ {
-		count := per
-		if w < extra {
-			count++
-		}
-		slice := hosts[lo : lo+count]
-		lo += count
-		wg.Add(1)
-		go func(slice []int32) {
-			defer wg.Done()
-			var s, u int
-			var firstErr error
-			for _, host := range slice {
-				t0 := time.Now()
-				_, err := mgr.Cloak(ctx, host)
-				reqm.Observe("cloak", time.Since(t0), err == nil)
-				switch {
-				case err == nil:
-					s++
-				case errors.Is(err, core.ErrInsufficientUsers):
-					u++
-				default:
-					if firstErr == nil {
-						firstErr = err
-					}
-				}
-			}
-			mu.Lock()
-			served += s
-			unclus += u
-			if firstErr != nil && hardErr == nil {
-				hardErr = firstErr
-			}
-			mu.Unlock()
-		}(slice)
-	}
-	wg.Wait()
+	tally := workload.Replay(hosts, p.Workers, reqm, func(host int32) error {
+		_, err := mgr.Cloak(ctx, host)
+		return err
+	})
 	elapsed := time.Since(start)
-	if hardErr != nil {
-		return repOut{}, fmt.Errorf("hard cloak failure: %w", hardErr)
+	if tally.Err != nil {
+		return repOut{}, fmt.Errorf("hard cloak failure: %w", tally.Err)
 	}
 
 	transcript := mgr.Transcript()
@@ -601,8 +532,8 @@ func runRep(p CellParams, cfg CellConfig) (repOut, error) {
 
 	out := repOut{
 		det: Determinism{
-			Served:           served,
-			Unclusterable:    unclus,
+			Served:           tally.Served,
+			Unclusterable:    tally.Unclusterable,
 			Epochs:           st.Epoch,
 			Edges:            st.Edges,
 			Clusters:         st.Clusters,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -98,11 +97,7 @@ type Coordinator struct {
 
 	closeOnce sync.Once
 	closeErr  error
-	lnClose   func() error
-	wg        sync.WaitGroup
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{} // accepted connections; nil once closing
+	acc       *service.Acceptor // the protocol listener; nil unless Listen ran
 }
 
 // Option configures a Coordinator.
@@ -173,7 +168,6 @@ func New(opts ...Option) (*Coordinator, error) {
 		maxBatch:  DefaultMaxBatch,
 		deadAfter: DefaultDeadAfter,
 		rm:        metrics.NewRequestMetrics(),
-		conns:     make(map[net.Conn]struct{}),
 		uploads:   make(map[int32][]service.PeerRank),
 		profiles:  make(map[int32]service.ProfileSpec),
 		cross:     make(map[int32][]int32),
@@ -929,11 +923,9 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 // shards themselves are their owner's to stop.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
-		if c.lnClose != nil {
-			c.closeErr = c.lnClose()
+		if c.acc != nil {
+			c.closeErr = c.acc.Close()
 		}
-		c.closeConns()
-		c.wg.Wait()
 		// Pools first: closing the ordered connection unblocks a sender
 		// mid-round-trip, then the senders' goroutines exit.
 		for _, p := range c.pools {

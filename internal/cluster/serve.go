@@ -11,10 +11,11 @@ import (
 
 // Listen starts the coordinator's protocol listener on addr and returns
 // the bound address. It speaks the same line-delimited JSON protocol as
-// a single cloakd, through the same codec and line loop
-// (service.ServeLines), so existing clients work unchanged against a
-// cluster. The listener and every accepted connection stay open until
-// ctx is canceled or Close is called.
+// a single cloakd, through the same accept loop and line loop
+// (service.Serve), so existing clients work unchanged against a
+// cluster. Unlike a shard, it sets no idle deadline. The listener and
+// every accepted connection stay open until ctx is canceled or Close is
+// called.
 func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -23,66 +24,8 @@ func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	c.lnClose = func() error {
-		cancel()
-		return ln.Close()
-	}
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if !c.track(conn) {
-				conn.Close()
-				return
-			}
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				defer c.untrack(conn)
-				defer conn.Close()
-				service.ServeLines(ctx, conn, 0, c.rm, c.serveRequest)
-			}()
-		}
-	}()
+	c.acc = service.Serve(ctx, ln, 0, c.rm, c.serveRequest)
 	return ln.Addr(), nil
-}
-
-// track registers an accepted connection so Close can close it; false
-// means the coordinator is already closing.
-func (c *Coordinator) track(conn net.Conn) bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.conns == nil {
-		return false
-	}
-	c.conns[conn] = struct{}{}
-	return true
-}
-
-func (c *Coordinator) untrack(conn net.Conn) {
-	c.connMu.Lock()
-	delete(c.conns, conn)
-	c.connMu.Unlock()
-}
-
-// closeConns closes every accepted connection — a handler blocked
-// reading an idle client must not stall Close — and refuses new ones.
-func (c *Coordinator) closeConns() {
-	c.connMu.Lock()
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.conns = nil
-	c.connMu.Unlock()
 }
 
 // serveRequest answers one parsed request and folds it into the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net"
 	"testing"
@@ -205,6 +206,47 @@ func TestCoordinatorCloseWithOpenClients(t *testing.T) {
 	}
 	if _, err := rd.ReadBytes('\n'); err == nil {
 		t.Error("raw connection still open after Close")
+	}
+}
+
+// TestCoordinatorCloseAfterContextEnds is the regression test for
+// cloakd -coordinator exiting 1 on a clean SIGINT: the end of the
+// serving context closes the listener, and a Close after it must return
+// nil rather than the second close's "use of closed network
+// connection". The port must be closed too.
+func TestCoordinatorCloseAfterContextEnds(t *testing.T) {
+	coord := startCluster(t, 10, 2, 2, nil, nil)
+	ctx, cancel := context.WithCancel(bg)
+	addr, err := coord.Listen(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := service.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+	cancel()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		conn, err := net.DialTimeout("tcp", addr.String(), time.Second)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after the serving context ended")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatalf("Close after the serving context ended = %v, want nil", err)
+	}
+	if err := c.Ping(); err == nil {
+		t.Error("ping succeeded after the serving context ended")
 	}
 }
 

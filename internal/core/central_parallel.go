@@ -79,24 +79,20 @@ func CentralizedTConnParallelProfiled(g *wpg.Graph, k int, ks []int32, workers i
 	return clusters, undersized
 }
 
-// ClusterComponent runs the serial safe-removal partition on the
-// subgraph induced by one connected component and maps the result back
-// to global vertex ids. members must be a complete connected component
-// of g, sorted ascending. Cluster IDs in the result are local to the
-// component; whole-graph callers renumber after merging (see
+// ClusterComponentProfiled runs the serial safe-removal partition on
+// the subgraph induced by one connected component and maps the result
+// back to global vertex ids. members must be a complete connected
+// component of g, sorted ascending. Cluster IDs in the result are local
+// to the component; whole-graph callers renumber after merging (see
 // CentralizedTConnParallel). This is the shard-level entry point the
 // incremental epoch rebuild uses to re-cluster only dirty components.
-func ClusterComponent(g *wpg.Graph, members []int32, k int) (clusters []*Cluster, undersized [][]int32) {
-	return ClusterComponentProfiled(g, members, k, nil)
-}
-
-// ClusterComponentProfiled is ClusterComponent with per-vertex anonymity
-// floors. ks is indexed by GLOBAL vertex id (nil = uniform k); the
-// floors of the component's members are carried into the induced
-// subgraph. A component smaller than its largest effective floor is
-// wholly undersized: the demanding vertex sits on one side of every
-// candidate removal, so no split is ever safe and the component stays
-// one (invalid) group — the shortcut matches the full algorithm.
+//
+// ks holds per-vertex anonymity floors indexed by GLOBAL vertex id (nil
+// = uniform k); the floors of the component's members are carried into
+// the induced subgraph. A component smaller than its largest effective
+// floor is wholly undersized: the demanding vertex sits on one side of
+// every candidate removal, so no split is ever safe and the component
+// stays one (invalid) group — the shortcut matches the full algorithm.
 func ClusterComponentProfiled(g *wpg.Graph, members []int32, k int, ks []int32) (clusters []*Cluster, undersized [][]int32) {
 	if k < 1 {
 		panic(fmt.Sprintf("core: k must be >= 1, got %d", k))
@@ -135,19 +131,14 @@ func ClusterComponentProfiled(g *wpg.Graph, members []int32, k int, ks []int32) 
 	return clusters, undersized
 }
 
-// RegisterCentralizedParallel is RegisterCentralized on top of
+// RegisterCentralizedParallelCtx is RegisterCentralized on top of
 // CentralizedTConnParallel: it clusters the whole WPG component-parallel
 // and records every valid cluster atomically via Registry.AddBatch.
-func RegisterCentralizedParallel(g *wpg.Graph, k int, reg *Registry, workers int) ([]*Cluster, int, error) {
-	return RegisterCentralizedParallelCtx(context.Background(), g, k, reg, workers)
-}
-
-// RegisterCentralizedParallelCtx is RegisterCentralizedParallel with
-// span hooks: when ctx carries a trace span, the t-connectivity
-// partition and the registry batch-add report as separate child stages
-// ("core.cluster", "core.register"), which is how an epoch build's
-// span tree attributes clustering time vs registration time. With no
-// span on ctx the hooks are nil checks.
+// When ctx carries a trace span, the t-connectivity partition and the
+// registry batch-add report as separate child stages ("core.cluster",
+// "core.register"), which is how an epoch build's span tree attributes
+// clustering time vs registration time. With no span on ctx the hooks
+// are nil checks.
 func RegisterCentralizedParallelCtx(ctx context.Context, g *wpg.Graph, k int, reg *Registry, workers int) ([]*Cluster, int, error) {
 	sp := trace.FromContext(ctx)
 	csp := sp.Child("core.cluster")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -70,7 +71,7 @@ func TestRegisterCentralizedParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	parReg := NewRegistry(g.NumVertices())
-	parC, parSkipped, err := RegisterCentralizedParallel(g, 6, parReg, 0)
+	parC, parSkipped, err := RegisterCentralizedParallelCtx(context.Background(), g, 6, parReg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestClusterComponentMatchesWholeGraph(t *testing.T) {
 	var gotC []*Cluster
 	var gotU [][]int32
 	for _, members := range g.Components() {
-		c, u := ClusterComponent(g, members, 4)
+		c, u := ClusterComponentProfiled(g, members, 4, nil)
 		gotC = append(gotC, c...)
 		gotU = append(gotU, u...)
 	}
@@ -158,5 +159,5 @@ func TestClusterComponentPanicsOnBadK(t *testing.T) {
 			t.Error("k = 0 should panic")
 		}
 	}()
-	ClusterComponent(fig6Graph(), []int32{0}, 0)
+	ClusterComponentProfiled(fig6Graph(), []int32{0}, 0, nil)
 }

@@ -29,6 +29,13 @@ import (
 // evaluation (Table I: "# of users 104,770").
 const CaliforniaPOISize = 104770
 
+// DeltaFor is the radio range δ at which n users in the unit square
+// expect as many radio neighbours as the paper's default δ = 2×10⁻³
+// gives the CaliforniaPOISize users of Table I.
+func DeltaFor(n int) float64 {
+	return 2e-3 * math.Sqrt(float64(CaliforniaPOISize)/float64(n))
+}
+
 // Dataset is a set of user/POI locations in the unit square. The index of
 // a point is the user's identifier throughout the system.
 type Dataset []geo.Point

@@ -1,6 +1,6 @@
-// Package mobility provides movement models for studying continuous
+// Package mobility provides the movement model for studying continuous
 // cloaking: the paper's Section VII notes that moving users must re-cloak
-// and that repeated requests interact with privacy. The models generate
+// and that repeated requests interact with privacy. The model generates
 // per-epoch position snapshots; the experiment harness rebuilds the WPG
 // per epoch and measures how re-cloaking costs and cloaked regions evolve.
 package mobility
@@ -12,58 +12,6 @@ import (
 
 	"nonexposure/internal/geo"
 )
-
-// Model advances a population of users through time.
-type Model interface {
-	// Positions returns the current location of every user. The returned
-	// slice must not be modified.
-	Positions() []geo.Point
-	// Step advances the model by dt time units.
-	Step(dt float64)
-}
-
-// RandomWaypoint is the classic free-roam model: every user picks a
-// uniform destination in the unit square, travels there at its speed,
-// then picks a new one.
-type RandomWaypoint struct {
-	rng   *rand.Rand
-	pts   []geo.Point
-	dst   []geo.Point
-	speed []float64
-}
-
-// NewRandomWaypoint starts n users at the given positions (copied) with
-// speeds uniform in [speedMin, speedMax] (distance units per time unit).
-func NewRandomWaypoint(start []geo.Point, speedMin, speedMax float64, seed int64) (*RandomWaypoint, error) {
-	if speedMin < 0 || speedMax < speedMin {
-		return nil, fmt.Errorf("mobility: bad speed range [%v, %v]", speedMin, speedMax)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m := &RandomWaypoint{
-		rng:   rng,
-		pts:   append([]geo.Point(nil), start...),
-		dst:   make([]geo.Point, len(start)),
-		speed: make([]float64, len(start)),
-	}
-	for i := range m.pts {
-		m.dst[i] = geo.Point{X: rng.Float64(), Y: rng.Float64()}
-		m.speed[i] = speedMin + rng.Float64()*(speedMax-speedMin)
-	}
-	return m, nil
-}
-
-// Positions implements Model.
-func (m *RandomWaypoint) Positions() []geo.Point { return m.pts }
-
-// Step implements Model.
-func (m *RandomWaypoint) Step(dt float64) {
-	for i := range m.pts {
-		m.pts[i] = moveToward(m.pts[i], m.dst[i], m.speed[i]*dt)
-		if m.pts[i] == m.dst[i] {
-			m.dst[i] = geo.Point{X: m.rng.Float64(), Y: m.rng.Float64()}
-		}
-	}
-}
 
 // LocalWander keeps every user within a disk around its home position —
 // people move around their neighborhood, so town densities stay stable
@@ -112,10 +60,11 @@ func (m *LocalWander) sampleNear(home geo.Point) geo.Point {
 	}
 }
 
-// Positions implements Model.
+// Positions returns the current location of every user. The returned
+// slice must not be modified.
 func (m *LocalWander) Positions() []geo.Point { return m.pts }
 
-// Step implements Model.
+// Step advances every user by dt time units.
 func (m *LocalWander) Step(dt float64) {
 	for i := range m.pts {
 		m.pts[i] = moveToward(m.pts[i], m.dst[i], m.speed[i]*dt)

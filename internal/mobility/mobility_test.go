@@ -8,46 +8,9 @@ import (
 	"nonexposure/internal/geo"
 )
 
-func TestRandomWaypointValidation(t *testing.T) {
-	pts := dataset.Uniform(10, 1)
-	if _, err := NewRandomWaypoint(pts, -1, 1, 1); err == nil {
-		t.Error("negative speed should error")
-	}
-	if _, err := NewRandomWaypoint(pts, 2, 1, 1); err == nil {
-		t.Error("inverted speed range should error")
-	}
-}
-
-func TestRandomWaypointMovesAndStaysInWorld(t *testing.T) {
-	pts := dataset.Uniform(200, 2)
-	m, err := NewRandomWaypoint(pts, 0.01, 0.05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]geo.Point(nil), m.Positions()...)
-	sq := geo.UnitSquare()
-	for step := 0; step < 50; step++ {
-		m.Step(1)
-		for i, p := range m.Positions() {
-			if !sq.Contains(p) {
-				t.Fatalf("step %d: user %d left the world: %v", step, i, p)
-			}
-		}
-	}
-	moved := 0
-	for i, p := range m.Positions() {
-		if p != before[i] {
-			moved++
-		}
-	}
-	if moved < 190 {
-		t.Errorf("only %d/200 users moved", moved)
-	}
-}
-
-func TestRandomWaypointSpeedBound(t *testing.T) {
+func TestLocalWanderSpeedBound(t *testing.T) {
 	pts := dataset.Uniform(100, 4)
-	m, err := NewRandomWaypoint(pts, 0.01, 0.02, 5)
+	m, err := NewLocalWander(pts, 0.05, 0.01, 0.02, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +75,11 @@ func TestMoveTowardSnapsAtDestination(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	pts := dataset.Uniform(50, 9)
-	a, err := NewRandomWaypoint(pts, 0.01, 0.03, 11)
+	a, err := NewLocalWander(pts, 0.05, 0.01, 0.03, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRandomWaypoint(pts, 0.01, 0.03, 11)
+	b, err := NewLocalWander(pts, 0.05, 0.01, 0.03, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,6 @@ import (
 	"nonexposure/internal/trace"
 )
 
-// Accept-error backoff bounds: a persistent Accept failure (EMFILE, for
-// example) must not busy-spin the accept loop, but recovery should be
-// quick once the condition clears.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 1 * time.Second
-)
-
 // idleTimeout is the per-connection read deadline: a client that sends
 // nothing for this long is disconnected.
 const idleTimeout = 2 * time.Minute
@@ -47,18 +39,15 @@ type Server struct {
 	em         *metrics.EpochMetrics
 	tracer     *trace.Recorder
 
-	// ctx governs every accept loop and connection; Close cancels it.
+	// ctx governs the acceptor and every connection; Close cancels it.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	listener net.Listener
-	wg       sync.WaitGroup
+	acc *Acceptor
+	wg  sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
 // Option configures a Server.
@@ -103,7 +92,6 @@ func New(opts ...Option) (*Server, error) {
 	s := &Server{
 		k:          10,
 		reqMetrics: metrics.NewRequestMetrics(),
-		conns:      make(map[net.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -131,7 +119,7 @@ func (s *Server) Listen(ctx context.Context, addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: listen: %w", err)
 	}
-	s.listener = l
+	s.acc = Serve(s.ctx, l, idleTimeout, s.reqMetrics, s.HandleEnvelope)
 	if ctx != nil && ctx.Done() != nil {
 		// Tie the caller's ctx to the server lifecycle.
 		s.wg.Add(1)
@@ -144,8 +132,6 @@ func (s *Server) Listen(ctx context.Context, addr string) (net.Addr, error) {
 			}
 		}()
 	}
-	s.wg.Add(1)
-	go s.acceptLoop(l)
 	return l.Addr(), nil
 }
 
@@ -156,14 +142,9 @@ func (s *Server) Listen(ctx context.Context, addr string) (net.Addr, error) {
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.cancel()
-		if s.listener != nil {
-			s.closeErr = s.listener.Close()
+		if s.acc != nil {
+			s.closeErr = s.acc.Close()
 		}
-		s.connMu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.connMu.Unlock()
 		s.wg.Wait()
 		s.mgr.Close()
 	})
@@ -185,61 +166,6 @@ func (s *Server) Manager() *epoch.Manager { return s.mgr }
 // Tracer returns the configured trace recorder (nil when tracing is
 // disabled). The admin endpoint reads recent span trees from it.
 func (s *Server) Tracer() *trace.Recorder { return s.tracer }
-
-func (s *Server) track(conn net.Conn) {
-	s.connMu.Lock()
-	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, conn)
-	s.connMu.Unlock()
-}
-
-func (s *Server) acceptLoop(l net.Listener) {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			// Persistent failures (EMFILE and friends) would otherwise spin
-			// this loop at 100% CPU; back off exponentially and retry.
-			if backoff == 0 {
-				backoff = acceptBackoffMin
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-s.ctx.Done():
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			continue
-		}
-		backoff = 0
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(s.ctx, conn)
-		}()
-	}
-}
-
-// serveConn handles one client with the shared line loop (see
-// ServeLines).
-func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
-	s.track(conn)
-	defer s.untrack(conn)
-	defer conn.Close()
-	ServeLines(ctx, conn, idleTimeout, s.reqMetrics, s.HandleEnvelope)
-}
 
 // HandleEnvelope processes one parsed request; exported so tests (and
 // alternative transports) can bypass TCP. Every request is timed and

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nonexposure/internal/metrics"
 )
 
 // flakyListener returns errors from Accept until it is told to stop; it
@@ -47,18 +49,12 @@ func (l *flakyListener) Addr() net.Addr {
 // busy-spin bug: a listener that fails every Accept (as EMFILE would)
 // must be retried with exponential backoff, not in a hot loop.
 func TestAcceptLoopBacksOffOnPersistentError(t *testing.T) {
-	srv, err := New(WithNumUsers(10), WithK(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	fake := &flakyListener{err: errors.New("accept tcp: too many open files")}
-	srv.listener = fake
-	srv.wg.Add(1)
-	go srv.acceptLoop(fake)
+	acc := Serve(context.Background(), fake, idleTimeout, metrics.NewRequestMetrics(), pong)
 
 	const window = 300 * time.Millisecond
 	time.Sleep(window)
-	if err := srv.Close(); err != nil {
+	if err := acc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Backoff 5ms,10,20,40,80,160,... gives ~7 attempts in 300ms. The
@@ -118,36 +114,50 @@ func (l *sequencedListener) Addr() net.Addr {
 	return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
 }
 
-// TestAcceptLoopRecoversAfterErrors verifies transient Accept errors do
-// not kill the loop: a connection arriving after a burst of errors is
-// still served.
-func TestAcceptLoopRecoversAfterErrors(t *testing.T) {
-	srv, err := New(WithNumUsers(10), WithK(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, server := net.Pipe()
-	defer client.Close()
-	tmpErr := errors.New("transient accept failure")
-	fake := newSequencedListener(tmpErr, tmpErr, tmpErr, server)
-	srv.listener = fake
-	srv.wg.Add(1)
-	go srv.acceptLoop(fake)
+// pong answers every request with a bare ok envelope.
+func pong(context.Context, Request) Envelope { return Envelope{V: ProtocolVersion, OK: true} }
 
-	// The served connection answers a ping.
-	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Write([]byte(`{"v":1,"op":"ping"}` + "\n")); err != nil {
-		t.Fatalf("write to served conn: %v", err)
-	}
-	buf := make([]byte, 256)
-	n, err := client.Read(buf)
-	if err != nil || n == 0 {
-		t.Fatalf("read from served conn: n=%d err=%v", n, err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+// TestAcceptLoopRecoversAfterErrors verifies a failed Accept does not
+// kill the shared accept loop, with a shard's idle deadline and with
+// the coordinator's none: a connection arriving after one failed Accept
+// (and after a burst of them) is still served.
+func TestAcceptLoopRecoversAfterErrors(t *testing.T) {
+	tmpErr := errors.New("transient accept failure")
+	for _, tc := range []struct {
+		name string
+		idle time.Duration
+		errs int
+	}{
+		{"shard idle, one failure", idleTimeout, 1},
+		{"coordinator no idle, one failure", 0, 1},
+		{"shard idle, failure burst", idleTimeout, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			var steps []any
+			for i := 0; i < tc.errs; i++ {
+				steps = append(steps, tmpErr)
+			}
+			fake := newSequencedListener(append(steps, server)...)
+			acc := Serve(context.Background(), fake, tc.idle, metrics.NewRequestMetrics(), pong)
+
+			// The served connection answers a ping.
+			if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Write([]byte(`{"v":1,"op":"ping"}` + "\n")); err != nil {
+				t.Fatalf("write to served conn: %v", err)
+			}
+			buf := make([]byte, 256)
+			n, err := client.Read(buf)
+			if err != nil || n == 0 {
+				t.Fatalf("read from served conn: n=%d err=%v", n, err)
+			}
+			if err := acc.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

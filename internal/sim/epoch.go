@@ -9,6 +9,7 @@ import (
 	"nonexposure/internal/dataset"
 	"nonexposure/internal/epoch"
 	"nonexposure/internal/mobility"
+	"nonexposure/internal/workload"
 	"nonexposure/internal/wpg"
 )
 
@@ -86,6 +87,8 @@ func RunEpochScenario(sc EpochScenario) (*EpochReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	pop := &workload.Population{Model: model, Delta: scenarioDelta, MaxPeers: scenarioMaxPeers,
+		Movers: rand.New(rand.NewSource(sc.Seed + 2))}
 	mgr, err := epoch.New(sc.NumUsers, epoch.WithK(sc.K))
 	if err != nil {
 		return nil, err
@@ -93,26 +96,17 @@ func RunEpochScenario(sc EpochScenario) (*EpochReport, error) {
 	defer mgr.Close()
 
 	ctx := context.Background()
-	upload := func(users []int32) error {
-		g := wpg.Build(model.Positions(), wpg.BuildParams{Delta: scenarioDelta, MaxPeers: scenarioMaxPeers})
+	upload := func(g *wpg.Graph, users []int32) error {
 		for _, v := range users {
-			var peers []epoch.RankedPeer
-			for _, e := range g.Neighbors(v) {
-				peers = append(peers, epoch.RankedPeer{Peer: e.To, Rank: e.W})
-			}
 			prof := sc.Profiles[v] // zero for unprofiled users
-			if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: peers, Profile: &prof}); err != nil {
+			if err := mgr.Upload(ctx, epoch.UploadRequest{User: v, Peers: workload.Peers(g, v), Profile: &prof}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	all := make([]int32, sc.NumUsers)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	if err := upload(all); err != nil {
+	if err := upload(pop.Graph(), pop.Users()); err != nil {
 		return nil, err
 	}
 	gen, err := mgr.RotateAndWait(ctx)
@@ -121,19 +115,8 @@ func RunEpochScenario(sc EpochScenario) (*EpochReport, error) {
 	}
 	gens := []*epoch.Generation{gen}
 
-	rng := rand.New(rand.NewSource(sc.Seed + 2))
-	perTick := int(sc.Frac * float64(sc.NumUsers))
-	if perTick < 1 {
-		perTick = 1
-	}
 	for tick := 0; tick < sc.Ticks; tick++ {
-		model.Step(1)
-		moved := rng.Perm(sc.NumUsers)[:perTick]
-		users := make([]int32, perTick)
-		for i, u := range moved {
-			users[i] = int32(u)
-		}
-		if err := upload(users); err != nil {
+		if err := upload(pop.Tick(sc.Frac)); err != nil {
 			return nil, err
 		}
 		gen, err := mgr.RotateAndWait(ctx)

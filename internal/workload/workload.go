@@ -2,6 +2,12 @@
 // users, drawn deterministically, who invoke location cloaking. The
 // hotspot and Zipf variants model skewed re-requesting populations for
 // the robustness and contention experiments.
+//
+// It also holds the phases of the churn workload that the experiment
+// grid (internal/bench), cloaksim and cloakd -demo share: the mobile
+// Population with its churn Tick, the Peers a device uploads, and the
+// Replay of a request stream split across concurrent clients, whose
+// Tally is the one place a sub-k refusal is told from a hard failure.
 package workload
 
 import (

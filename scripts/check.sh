@@ -51,6 +51,18 @@ if grep -rnE 'WithFailover|Failover\{|WithPoolSize|WithDialOptions|WithQueueCapa
     exit 1
 fi
 
+# Exported names that only tests called were deleted with their tests:
+# the wrappers core.ClusterComponent and RegisterCentralizedParallel
+# (their tests call ClusterComponentProfiled(..., nil) and
+# RegisterCentralizedParallelCtx), the random-waypoint mobility model
+# and the one-implementation mobility.Model interface, and
+# anonymizer.Server.Built. None may come back.
+echo "==> no deleted test-only names"
+if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RandomWaypoint|mobility\.Model\b|\.Built\(\)' --include='*.go' .; then
+    echo "deleted name found (call ClusterComponentProfiled(..., nil), RegisterCentralizedParallelCtx or LocalWander instead)" >&2
+    exit 1
+fi
+
 # The epoch upload API takes an UploadRequest struct; the old
 # positional (ctx, user, peers) signature is gone and must stay gone.
 # Positional calls have a third argument; struct-based calls pass
@@ -214,6 +226,45 @@ echo "$kill_out" | grep -q 'unserved=0' \
     || { echo "kill smoke: sweep reported unserved users:" >&2; echo "$kill_out" >&2; exit 1; }
 echo "$kill_out" | grep -q 'clean shutdown' \
     || { echo "kill smoke: shutdown did not complete:" >&2; echo "$kill_out" >&2; exit 1; }
+
+# Single-process churn smoke: the same churn-under-load loop as the
+# cluster smoke, against one process's epoch pipeline. The sweep must
+# serve every user or refuse it as sub-k (unserved=0).
+echo "==> cloaksim -churn smoke"
+churn_out=$(go run ./cmd/cloaksim -churn 2 -n 300 -k 4 -workers 4)
+echo "$churn_out" | grep -q 'unserved=0' \
+    || { echo "churn smoke: sweep reported unserved users:" >&2; echo "$churn_out" >&2; exit 1; }
+
+# Load-generator smoke: the Zipf replay against the lazily built
+# anonymizer; hard cloak failures already exit nonzero on their own.
+echo "==> cloaksim -load smoke"
+load_out=$(go run ./cmd/cloaksim -load 2000 -n 300 -k 4 -workers 2)
+echo "$load_out" | grep -q 'clusters cover' \
+    || { echo "load smoke: no coverage line:" >&2; echo "$load_out" >&2; exit 1; }
+
+# Coordinator shutdown smoke: cloakd -coordinator must exit 0 on a
+# clean SIGINT, as a single cloakd does. The end of the serving context
+# closes the listener, and Close must not close it a second time.
+echo "==> cloakd -coordinator SIGINT smoke (exit status 0)"
+coorddir=$(mktemp -d)
+go build -o "$coorddir/cloakd" ./cmd/cloakd
+"$coorddir/cloakd" -coordinator -shards 2 -n 200 -k 4 -addr 127.0.0.1:0 \
+    > "$coorddir/cloakd.log" 2>&1 &
+coord_pid=$!
+for _ in $(seq 1 50); do
+    grep -q 'coordinator listening on' "$coorddir/cloakd.log" && break
+    sleep 0.1
+done
+kill -INT "$coord_pid"
+coord_status=0
+wait "$coord_pid" || coord_status=$?
+if [ "$coord_status" -ne 0 ] || ! grep -q 'coordinator listening on' "$coorddir/cloakd.log"; then
+    echo "coordinator smoke: exit status $coord_status on SIGINT:" >&2
+    cat "$coorddir/cloakd.log" >&2
+    rm -rf "$coorddir"
+    exit 1
+fi
+rm -rf "$coorddir"
 
 # Device-side demo smoke: cloakd -demo is the one shipped client that
 # uploads, freezes and cloaks against a fresh server over the wire
