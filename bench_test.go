@@ -360,9 +360,9 @@ func concurrentCloakGraph(b *testing.B) *wpg.Graph {
 	return cloakGraphVal
 }
 
-// BenchmarkConcurrentCloakFirstRequest measures the one-time whole-graph
-// clustering a fresh anonymizer performs on its first request: the serial
-// baseline vs the component-parallel build (workers = GOMAXPROCS).
+// BenchmarkConcurrentCloakFirstRequest measures the whole-graph
+// clustering an anonymizer runs before it serves its first request: the
+// serial baseline vs the component-parallel build (workers = GOMAXPROCS).
 func BenchmarkConcurrentCloakFirstRequest(b *testing.B) {
 	g := concurrentCloakGraph(b)
 	for _, bench := range []struct {
@@ -375,7 +375,10 @@ func BenchmarkConcurrentCloakFirstRequest(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := anonymizer.NewServer(g, anonymizer.WithK(10), anonymizer.WithWorkers(bench.workers))
+				s, err := anonymizer.Build(context.Background(), g, 10, bench.workers)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, cost, err := s.Cloak(context.Background(), 0); err != nil || cost == 0 {
 					b.Fatalf("first request: cost=%d err=%v", cost, err)
 				}
@@ -395,8 +398,8 @@ func BenchmarkConcurrentCloakSteadyState(b *testing.B) {
 	g := concurrentCloakGraph(b)
 	n := int32(g.NumVertices())
 	newBuilt := func() *anonymizer.Server {
-		s := anonymizer.NewServer(g, anonymizer.WithK(10))
-		if _, _, err := s.Cloak(context.Background(), 0); err != nil {
+		s, err := anonymizer.Build(context.Background(), g, 10, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
 		return s

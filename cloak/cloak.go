@@ -171,7 +171,7 @@ type System struct {
 
 	mu      sync.Mutex
 	reg     *core.Registry
-	anon    *anonymizer.Server
+	anon    *anonymizer.Server    // ModeCentralized, built by the first request
 	regions map[int32]regionEntry // cluster ID -> bounded region
 }
 
@@ -212,10 +212,6 @@ func NewSystem(users []Point, cfg Config) (*System, error) {
 		reg:     core.NewRegistry(len(pts)),
 		regions: make(map[int32]regionEntry),
 	}
-	if cfg.Mode == ModeCentralized {
-		s.anon = anonymizer.NewServer(g, anonymizer.WithK(cfg.K))
-		s.reg = s.anon.Registry()
-	}
 	return s, nil
 }
 
@@ -252,6 +248,15 @@ func (s *System) CloakCtx(ctx context.Context, host int) (Result, error) {
 	var cluster *core.Cluster
 	switch s.cfg.Mode {
 	case ModeCentralized:
+		// The anonymizer is built on the first centralized request; the
+		// mutex above serializes that build with every other request.
+		if s.anon == nil {
+			anon, err := anonymizer.Build(ctx, s.g, s.cfg.K, 0)
+			if err != nil {
+				return Result{}, err
+			}
+			s.anon, s.reg = anon, anon.Registry()
+		}
 		c, cost, err := s.anon.Cloak(ctx, int32(host))
 		if err != nil {
 			return Result{}, translateErr(err)

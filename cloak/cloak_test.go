@@ -200,6 +200,38 @@ func TestCentralizedModeAmortizes(t *testing.T) {
 	}
 }
 
+// TestCentralizedRefusedFirstRequestKeepsBill: a sub-k refusal is not
+// billed, so the population's proximity uploads are billed to the first
+// served cloak rather than lost with the refusal.
+func TestCentralizedRefusedFirstRequestKeepsBill(t *testing.T) {
+	users := []Point{
+		{0.5, 0.5}, {0.502, 0.5}, {0.5, 0.502}, {0.502, 0.502}, {0.504, 0.5}, {0.5, 0.504},
+		{0.9, 0.9}, // isolated: no peer within Delta
+	}
+	cfg := testConfig()
+	cfg.K = 3
+	cfg.Delta = 0.01
+	cfg.Mode = ModeCentralized
+	sys, err := NewSystem(users, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Cloak(6); !errors.Is(err, ErrNotEnoughUsers) {
+		t.Fatalf("isolated host: err = %v, want ErrNotEnoughUsers", err)
+	}
+	res, err := sys.Cloak(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ClusterComm != len(users) || res.CachedCluster {
+		t.Errorf("first served cloak: ClusterComm=%d CachedCluster=%v, want %d/false",
+			res.ClusterComm, res.CachedCluster, len(users))
+	}
+	if res, err := sys.Cloak(1); err != nil || res.ClusterComm != 0 || !res.CachedCluster {
+		t.Errorf("second served cloak: %+v, %v; want a free cached cluster", res, err)
+	}
+}
+
 func TestCloakOptimalTighterThanProgressive(t *testing.T) {
 	usersA := testUsers(300, 6)
 	usersB := testUsers(300, 6)

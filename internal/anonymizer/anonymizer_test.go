@@ -3,6 +3,7 @@ package anonymizer
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,8 +25,19 @@ func testGraph() *wpg.Graph {
 
 var bg = context.Background()
 
+func mustBuild(t *testing.T, g *wpg.Graph, k, workers int) *Server {
+	t.Helper()
+	s, err := Build(bg, g, k, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCloakFirstRequestCostsEveryone: the first served cloak is billed
+// one proximity upload per user; every later cloak is a free cache read.
 func TestCloakFirstRequestCostsEveryone(t *testing.T) {
-	s := NewServer(testGraph(), WithK(3))
+	s := mustBuild(t, testGraph(), 3, 0)
 	c, cost, err := s.Cloak(bg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -52,61 +64,38 @@ func TestCloakFirstRequestCostsEveryone(t *testing.T) {
 	}
 }
 
-// TestBuildMakesCloakFree is the epoch-pipeline contract: an explicit
-// Build (what the background rebuild does before publishing a
-// generation) leaves every subsequent Cloak a zero-cost cache read.
+// TestBuildMakesCloakFree: Build registers every cluster before any
+// request, so cloaking every user twice adds nothing to the registry and
+// the whole pass is billed exactly once, one upload per user.
 func TestBuildMakesCloakFree(t *testing.T) {
-	s := NewServer(testGraph(), WithK(3), WithEpoch(7))
-	if s.Epoch() != 7 {
-		t.Errorf("Epoch = %d, want 7", s.Epoch())
+	s := mustBuild(t, testGraph(), 3, 0)
+	clusters, assigned := s.Registry().NumClusters(), s.Registry().NumAssigned()
+	if clusters == 0 || assigned != 6 {
+		t.Fatalf("after Build: %d clusters over %d users, want >0 over 6", clusters, assigned)
 	}
-	if err := s.Build(bg); err != nil {
-		t.Fatal(err)
+	total := 0
+	for pass := 0; pass < 2; pass++ {
+		for v := int32(0); v < 6; v++ {
+			c, cost, err := s.Cloak(bg, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Contains(v) || c.Size() < 3 {
+				t.Errorf("user %d: cluster = %v", v, c.Members)
+			}
+			total += cost
+		}
 	}
-	if s.Registry().NumClusters() == 0 {
-		t.Fatal("no cluster registered after Build")
+	if total != 8 {
+		t.Errorf("12 cloaks billed %d messages in all, want 8 (one bill)", total)
 	}
-	// Build is idempotent.
-	if err := s.Build(bg); err != nil {
-		t.Fatal(err)
-	}
-	c, cost, err := s.Cloak(bg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 0 {
-		t.Errorf("post-Build cloak cost = %d, want 0", cost)
-	}
-	if !c.Contains(0) || c.Size() < 3 {
-		t.Errorf("cluster = %v", c.Members)
-	}
-}
-
-// TestCloakCanceledContextWhileWaiting: a caller waiting for an in-flight
-// build must return ctx.Err() when its context dies first.
-func TestCloakCanceledContextWhileWaiting(t *testing.T) {
-	s := NewServer(testGraph(), WithK(3))
-	// Claim the build without running it, so waiters block forever.
-	if !s.claimed.CompareAndSwap(false, true) {
-		t.Fatal("fresh server already claimed")
-	}
-	ctx, cancel := context.WithCancel(bg)
-	cancel()
-	if _, _, err := s.Cloak(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("Cloak with dead ctx = %v, want context.Canceled", err)
-	}
-	if err := s.Build(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("Build with dead ctx = %v, want context.Canceled", err)
-	}
-	// Unblock the latch for cleanliness.
-	s.runBuild(bg)
-	if _, _, err := s.Cloak(bg, 0); err != nil {
-		t.Fatal(err)
+	if got, gotA := s.Registry().NumClusters(), s.Registry().NumAssigned(); got != clusters || gotA != assigned {
+		t.Errorf("cloaks changed the registry: %d clusters over %d users, want %d over %d", got, gotA, clusters, assigned)
 	}
 }
 
 func TestCloakReciprocityAcrossMembers(t *testing.T) {
-	s := NewServer(testGraph(), WithK(3))
+	s := mustBuild(t, testGraph(), 3, 0)
 	c, _, err := s.Cloak(bg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -122,42 +111,49 @@ func TestCloakReciprocityAcrossMembers(t *testing.T) {
 	}
 }
 
+// TestCloakUndersizedComponent: a user in a component smaller than k is
+// refused, the refusal is not billed, and the bill waits for the first
+// served cloak.
 func TestCloakUndersizedComponent(t *testing.T) {
-	s := NewServer(testGraph(), WithK(3))
+	s := mustBuild(t, testGraph(), 3, 0)
 	// Users 6,7 form a 2-component: k=3 impossible.
-	_, _, err := s.Cloak(bg, 6)
+	_, cost, err := s.Cloak(bg, 6)
 	if !errors.Is(err, core.ErrInsufficientUsers) {
 		t.Errorf("err = %v, want ErrInsufficientUsers", err)
 	}
-	if s.Unclusterable() != 2 {
-		t.Errorf("Unclusterable = %d, want 2", s.Unclusterable())
+	if cost != 0 {
+		t.Errorf("refused cloak cost = %d, want 0", cost)
+	}
+	if got := s.Registry().NumAssigned(); got != 6 {
+		t.Errorf("%d users clustered, want 6 (the pair stays out)", got)
+	}
+	if _, cost, err := s.Cloak(bg, 0); err != nil || cost != 8 {
+		t.Errorf("first served cloak: cost=%d err=%v, want 8/nil", cost, err)
 	}
 }
 
 func TestCloakValidation(t *testing.T) {
-	s := NewServer(testGraph(), WithK(3))
-	if _, _, err := s.Cloak(bg, 99); err == nil {
-		t.Error("unknown user should error")
-	}
-	if s.K() != 3 {
-		t.Errorf("K = %d", s.K())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("k < 1 should panic")
+	s := mustBuild(t, testGraph(), 3, 0)
+	for _, host := range []int32{-1, 8, 99} {
+		if _, _, err := s.Cloak(bg, host); err == nil {
+			t.Errorf("unknown user %d should error", host)
 		}
-	}()
-	NewServer(testGraph(), WithK(0))
+	}
+	if _, err := Build(bg, testGraph(), 0, 0); err == nil {
+		t.Error("Build with k < 1 accepted")
+	}
+	if _, err := New(bg, testGraph(), 0, nil, 0); err == nil {
+		t.Error("New with k < 1 accepted")
+	}
 }
 
 // TestCloakConcurrentFirstRequests hammers a fresh server with parallel
 // first requests (run under -race): every caller must see the same
-// cluster, the one-time clustering must run exactly once, and exactly one
-// request is billed the population cost.
+// cluster, and exactly one served cloak is billed the population cost.
 func TestCloakConcurrentFirstRequests(t *testing.T) {
 	pts := dataset.GaussianClusters(400, 8, 0.02, 21)
 	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.03, MaxPeers: 8})
-	s := NewServer(g, WithK(4))
+	s := mustBuild(t, g, 4, 0)
 
 	const callers = 32
 	var (
@@ -198,53 +194,71 @@ func TestCloakConcurrentFirstRequests(t *testing.T) {
 	if costTotal.Load() != int64(g.NumVertices()) {
 		t.Errorf("total billed cost = %d, want %d (one population upload)", costTotal.Load(), g.NumVertices())
 	}
-	if s.Registry().NumClusters() == 0 {
-		t.Error("no cluster registered after a successful first request")
-	}
 	if err := s.Registry().CheckReciprocity(); err != nil {
 		t.Fatal(err)
 	}
 	// A late request stays free and cache-served.
 	if _, cost, err := s.Cloak(bg, clusters[0].Members[1]); err != nil || cost != 0 {
-		t.Errorf("post-build request: cost=%d err=%v, want 0/nil", cost, err)
+		t.Errorf("late request: cost=%d err=%v, want 0/nil", cost, err)
 	}
 }
 
-// TestCloakParallelMatchesSerialBuild checks the component-parallel first
+// TestCloakParallelMatchesSerialBuild checks the component-parallel
 // build yields the same registry as a worker-count-1 build.
 func TestCloakParallelMatchesSerialBuild(t *testing.T) {
 	pts := dataset.GaussianClusters(300, 6, 0.02, 5)
 	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.03, MaxPeers: 8})
-	serial := NewServer(g, WithK(3), WithWorkers(1))
-	parallel := NewServer(g, WithK(3), WithWorkers(8))
-	if _, _, err := serial.Cloak(bg, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := parallel.Cloak(bg, 0); err != nil {
-		t.Fatal(err)
-	}
+	serial := mustBuild(t, g, 3, 1)
+	parallel := mustBuild(t, g, 3, 8)
 	sc, pc := serial.Registry().Clusters(), parallel.Registry().Clusters()
 	if len(sc) != len(pc) {
 		t.Fatalf("clusters: serial %d, parallel %d", len(sc), len(pc))
 	}
 	for i := range sc {
-		if sc[i].T != pc[i].T || len(sc[i].Members) != len(pc[i].Members) {
+		if sc[i].T != pc[i].T || !reflect.DeepEqual(sc[i].Members, pc[i].Members) {
 			t.Fatalf("cluster %d differs", i)
 		}
-		for j := range sc[i].Members {
-			if sc[i].Members[j] != pc[i].Members[j] {
-				t.Fatalf("cluster %d member %d differs", i, j)
-			}
+	}
+	if s, p := serial.Registry().NumAssigned(), parallel.Registry().NumAssigned(); s != p {
+		t.Errorf("clustered users: serial %d, parallel %d", s, p)
+	}
+}
+
+// TestBuildMatchesRegisterCentralized: the component-parallel Build over
+// a many-component WPG registers exactly what the serial
+// core.RegisterCentralized does, cluster for cluster.
+func TestBuildMatchesRegisterCentralized(t *testing.T) {
+	pts := dataset.GaussianClusters(700, 12, 0.015, 5)
+	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.02, MaxPeers: 8})
+	if len(g.Components()) < 4 {
+		t.Fatalf("test graph has only %d components, want a multi-component WPG", len(g.Components()))
+	}
+	serialReg := core.NewRegistry(g.NumVertices())
+	serialC, serialSkipped, err := core.RegisterCentralized(g, 6, serialReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustBuild(t, g, 6, 0)
+	parC := s.Registry().Clusters()
+	if len(parC) != len(serialC) {
+		t.Fatalf("clusters = %d, want %d", len(parC), len(serialC))
+	}
+	for i := range parC {
+		if !reflect.DeepEqual(parC[i].Members, serialC[i].Members) || parC[i].T != serialC[i].T {
+			t.Errorf("cluster %d differs from serial registration", i)
 		}
 	}
-	if serial.Unclusterable() != parallel.Unclusterable() {
-		t.Errorf("unclusterable: serial %d, parallel %d", serial.Unclusterable(), parallel.Unclusterable())
+	if got, want := s.Registry().NumAssigned(), g.NumVertices()-serialSkipped; got != want {
+		t.Errorf("clustered users = %d, want %d", got, want)
+	}
+	if err := s.Registry().CheckReciprocity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestCloakMatchesCentralizedAlgorithm(t *testing.T) {
 	g := testGraph()
-	s := NewServer(g, WithK(2))
+	s := mustBuild(t, g, 2, 0)
 	c, _, err := s.Cloak(bg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -265,48 +279,38 @@ func TestCloakMatchesCentralizedAlgorithm(t *testing.T) {
 }
 
 // TestAdoptInstallsExternalClusters: the incremental epoch rebuild
-// computes clusters outside the server and installs them via Adopt;
-// the server must then serve them exactly like a built one, and a
-// second Adopt (or a Build race) must be rejected by the claim latch.
+// computes clusters outside the server and installs them through New
+// with the generation's cost; the server must then serve them exactly
+// like a built one, and a clustering whose member sets overlap is
+// rejected.
 func TestAdoptInstallsExternalClusters(t *testing.T) {
 	g := testGraph()
-	clusters, undersized := core.CentralizedTConn(g, 3)
-	skipped := 0
-	for _, u := range undersized {
-		skipped += len(u)
-	}
-	s := NewServer(g, WithK(3), WithEpoch(5))
-	if err := s.Adopt(bg, clusters, skipped); err != nil {
+	clusters, _ := core.CentralizedTConn(g, 3)
+	s, err := New(bg, g, 3, clusters, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Registry().NumClusters(); got != len(clusters) {
-		t.Fatalf("%d clusters registered after Adopt, want %d", got, len(clusters))
-	}
-	if s.Unclusterable() != skipped {
-		t.Errorf("Unclusterable = %d, want %d", s.Unclusterable(), skipped)
+		t.Fatalf("%d clusters registered by New, want %d", got, len(clusters))
 	}
 	c, cost, err := s.Cloak(bg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != 0 {
-		t.Errorf("post-Adopt cloak cost = %d, want 0", cost)
+	if cost != 5 {
+		t.Errorf("first served cloak cost = %d, want 5 (the adopted clustering's cost)", cost)
 	}
 	if !c.Contains(0) || c.Size() < 3 {
 		t.Errorf("cluster = %v", c.Members)
 	}
+	if _, cost, err := s.Cloak(bg, 1); err != nil || cost != 0 {
+		t.Errorf("second cloak: cost=%d err=%v, want 0/nil", cost, err)
+	}
 	if err := s.Registry().CheckReciprocity(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Adopt(bg, clusters, skipped); err == nil {
-		t.Error("second Adopt accepted")
-	}
-	// Adopting into a server that already built must fail too.
-	built := NewServer(g, WithK(3))
-	if err := built.Build(bg); err != nil {
-		t.Fatal(err)
-	}
-	if err := built.Adopt(bg, clusters, skipped); err == nil {
-		t.Error("Adopt after Build accepted")
+	twice := append(append([]*core.Cluster(nil), clusters...), clusters...)
+	if _, err := New(bg, g, 3, twice, 0); err == nil {
+		t.Error("New accepted a user in two clusters")
 	}
 }

@@ -193,9 +193,8 @@ func CentralizedTConnProfiled(g *wpg.Graph, k int, ks []int32) (clusters []*Clus
 }
 
 // RegisterCentralized runs CentralizedTConn and records every valid
-// cluster in the registry (the anonymizer does this once, on the first
-// cloaking request). It returns the clusters and the count of users left
-// unclustered because their component is undersized.
+// cluster in the registry. It returns the clusters and the count of
+// users left unclustered because their component is undersized.
 func RegisterCentralized(g *wpg.Graph, k int, reg *Registry) ([]*Cluster, int, error) {
 	clusters, undersized := CentralizedTConn(g, k)
 	memberSets := make([][]int32, len(clusters))

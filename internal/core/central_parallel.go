@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
 
-	"nonexposure/internal/trace"
 	"nonexposure/internal/wpg"
 )
 
@@ -129,36 +127,4 @@ func ClusterComponentProfiled(g *wpg.Graph, members []int32, k int, ks []int32) 
 		undersized = append(undersized, gu)
 	}
 	return clusters, undersized
-}
-
-// RegisterCentralizedParallelCtx is RegisterCentralized on top of
-// CentralizedTConnParallel: it clusters the whole WPG component-parallel
-// and records every valid cluster atomically via Registry.AddBatch.
-// When ctx carries a trace span, the t-connectivity partition and the
-// registry batch-add report as separate child stages ("core.cluster",
-// "core.register"), which is how an epoch build's span tree attributes
-// clustering time vs registration time. With no span on ctx the hooks
-// are nil checks.
-func RegisterCentralizedParallelCtx(ctx context.Context, g *wpg.Graph, k int, reg *Registry, workers int) ([]*Cluster, int, error) {
-	sp := trace.FromContext(ctx)
-	csp := sp.Child("core.cluster")
-	clusters, undersized := CentralizedTConnParallel(g, k, workers)
-	csp.End()
-	memberSets := make([][]int32, len(clusters))
-	ts := make([]int32, len(clusters))
-	for i, c := range clusters {
-		memberSets[i] = c.Members
-		ts[i] = c.T
-	}
-	rsp := sp.Child("core.register")
-	registered, err := reg.AddBatch(memberSets, ts)
-	rsp.End()
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: register centralized clusters: %w", err)
-	}
-	skipped := 0
-	for _, u := range undersized {
-		skipped += len(u)
-	}
-	return registered, skipped, nil
 }

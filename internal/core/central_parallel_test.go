@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -60,34 +59,6 @@ func TestCentralizedTConnParallelDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(again, first) || !reflect.DeepEqual(againU, firstU) {
 			t.Fatalf("run %d differs from first run", i)
 		}
-	}
-}
-
-func TestRegisterCentralizedParallel(t *testing.T) {
-	g := multiComponentGraph(t, 700, 5)
-	serialReg := NewRegistry(g.NumVertices())
-	serialC, serialSkipped, err := RegisterCentralized(g, 6, serialReg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parReg := NewRegistry(g.NumVertices())
-	parC, parSkipped, err := RegisterCentralizedParallelCtx(context.Background(), g, 6, parReg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parSkipped != serialSkipped {
-		t.Errorf("skipped = %d, want %d", parSkipped, serialSkipped)
-	}
-	if len(parC) != len(serialC) {
-		t.Fatalf("clusters = %d, want %d", len(parC), len(serialC))
-	}
-	for i := range parC {
-		if !reflect.DeepEqual(parC[i].Members, serialC[i].Members) || parC[i].T != serialC[i].T {
-			t.Errorf("cluster %d differs from serial registration", i)
-		}
-	}
-	if err := parReg.CheckReciprocity(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package dataset generates and persists synthetic user/POI datasets in
+// Package dataset generates synthetic user/POI datasets in
 // the unit square.
 //
 // The paper's evaluation places one user at every point of the USGS
@@ -13,14 +13,8 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"strconv"
 
 	"nonexposure/internal/geo"
 )
@@ -205,92 +199,4 @@ func reflect01(v float64) float64 {
 		}
 	}
 	return v
-}
-
-// Bounds returns the bounding rectangle of the dataset. It panics on an
-// empty dataset.
-func (d Dataset) Bounds() geo.Rect {
-	return geo.RectFrom(d...)
-}
-
-// Normalize rescales the dataset in place so it exactly spans the unit
-// square (the paper normalizes the POI coordinates the same way).
-// Degenerate axes (zero extent) are centered at 0.5.
-func (d Dataset) Normalize() {
-	if len(d) == 0 {
-		return
-	}
-	b := d.Bounds()
-	w, h := b.Width(), b.Height()
-	for i, p := range d {
-		x, y := 0.5, 0.5
-		if w > 0 {
-			x = (p.X - b.Min.X) / w
-		}
-		if h > 0 {
-			y = (p.Y - b.Min.Y) / h
-		}
-		d[i] = geo.Point{X: x, Y: y}
-	}
-}
-
-// WriteCSV writes the dataset as "x,y" rows.
-func (d Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	for _, p := range d {
-		rec := []string{
-			strconv.FormatFloat(p.X, 'g', -1, 64),
-			strconv.FormatFloat(p.Y, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataset: write csv: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("dataset: flush csv: %w", err)
-	}
-	return nil
-}
-
-// ReadCSV reads a dataset written by WriteCSV (or any two-column x,y CSV).
-func ReadCSV(r io.Reader) (Dataset, error) {
-	cr := csv.NewReader(bufio.NewReader(r))
-	cr.FieldsPerRecord = 2
-	var ds Dataset
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return ds, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read csv: %w", err)
-		}
-		x, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d: bad x %q: %w", len(ds)+1, rec[0], err)
-		}
-		y, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d: bad y %q: %w", len(ds)+1, rec[1], err)
-		}
-		ds = append(ds, geo.Point{X: x, Y: y})
-	}
-}
-
-// WriteGob writes the dataset in gob encoding (compact binary cache).
-func (d Dataset) WriteGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(d); err != nil {
-		return fmt.Errorf("dataset: encode gob: %w", err)
-	}
-	return nil
-}
-
-// ReadGob reads a dataset written by WriteGob.
-func ReadGob(r io.Reader) (Dataset, error) {
-	var ds Dataset
-	if err := gob.NewDecoder(r).Decode(&ds); err != nil {
-		return nil, fmt.Errorf("dataset: decode gob: %w", err)
-	}
-	return ds, nil
 }

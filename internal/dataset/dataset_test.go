@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"nonexposure/internal/geo"
@@ -140,89 +138,4 @@ func TestReflect01(t *testing.T) {
 			t.Errorf("reflect01(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-}
-
-func TestNormalize(t *testing.T) {
-	ds := Dataset{{X: 2, Y: 10}, {X: 4, Y: 30}, {X: 3, Y: 20}}
-	ds.Normalize()
-	b := ds.Bounds()
-	if math.Abs(b.Min.X) > 1e-12 || math.Abs(b.Max.X-1) > 1e-12 ||
-		math.Abs(b.Min.Y) > 1e-12 || math.Abs(b.Max.Y-1) > 1e-12 {
-		t.Errorf("normalized bounds = %v, want unit square", b)
-	}
-	if math.Abs(ds[2].X-0.5) > 1e-12 || math.Abs(ds[2].Y-0.5) > 1e-12 {
-		t.Errorf("midpoint normalized to %v, want (0.5, 0.5)", ds[2])
-	}
-}
-
-func TestNormalizeDegenerateAxis(t *testing.T) {
-	ds := Dataset{{X: 5, Y: 1}, {X: 5, Y: 3}}
-	ds.Normalize()
-	if ds[0].X != 0.5 || ds[1].X != 0.5 {
-		t.Errorf("degenerate x axis should center at 0.5, got %v", ds)
-	}
-	if ds[0].Y != 0 || ds[1].Y != 1 {
-		t.Errorf("y axis should span [0,1], got %v", ds)
-	}
-	var empty Dataset
-	empty.Normalize() // must not panic
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	ds := Uniform(128, 12)
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if !reflect.DeepEqual(ds, got) {
-		t.Error("CSV round trip changed the dataset")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("a,b\n")); err == nil {
-		t.Error("non-numeric x should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("1.0,b\n")); err == nil {
-		t.Error("non-numeric y should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("1.0\n")); err == nil {
-		t.Error("wrong column count should error")
-	}
-	ds, err := ReadCSV(strings.NewReader(""))
-	if err != nil || len(ds) != 0 {
-		t.Errorf("empty input: ds=%v err=%v", ds, err)
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	ds := GaussianClusters(256, 4, 0.1, 21)
-	var buf bytes.Buffer
-	if err := ds.WriteGob(&buf); err != nil {
-		t.Fatalf("WriteGob: %v", err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatalf("ReadGob: %v", err)
-	}
-	if !reflect.DeepEqual(ds, got) {
-		t.Error("gob round trip changed the dataset")
-	}
-	if _, err := ReadGob(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Error("garbage gob should error")
-	}
-}
-
-func TestBoundsPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Bounds on empty dataset should panic")
-		}
-	}()
-	var empty Dataset
-	empty.Bounds()
 }

@@ -246,7 +246,6 @@ type Generation struct {
 	// enters the transcript.
 	Trace *trace.Span
 
-	billed atomic.Bool
 	// done is closed once the build finished, published when it
 	// succeeded, and left the pending count — or once Close dropped the
 	// queued build.
@@ -870,11 +869,8 @@ func (m *Manager) build(job buildJob) {
 		csp := root.Child(metrics.StageCluster)
 		cctx := trace.NewContext(context.Background(), csp)
 		res := m.clusterShards(cctx, g, prev, replaced, job.dirty, ks)
-		anon := anonymizer.NewServer(g,
-			anonymizer.WithK(m.k),
-			anonymizer.WithWorkers(m.workers),
-			anonymizer.WithEpoch(gen.Epoch))
-		err = anon.Adopt(cctx, res.clusters, res.skipped)
+		var anon *anonymizer.Server
+		anon, err = anonymizer.New(cctx, g, m.k, res.clusters, gen.UploadsIn)
 		csp.End()
 		m.em.ObserveStage(metrics.StageCluster, csp.Duration())
 		if err == nil {
@@ -1143,7 +1139,8 @@ func carryComponents(prev *builderState, g *wpg.Graph, replaced []int32, dirty m
 // Cloak serves a request from the current generation, lock-free with
 // respect to any in-flight rebuild. Cost follows the paper's
 // accounting: the first request served from each generation is billed
-// the uploads that went into its build, every other request is free.
+// the uploads that went into its build (the generation's anonymizer
+// holds that bill), every other request is free.
 // EffectiveK reports the anonymity level the serving cluster actually
 // satisfies (the service k unless a member's profile demanded more);
 // Degraded reports whether the requesting user's own MaxArea bound was
@@ -1156,12 +1153,12 @@ func (m *Manager) Cloak(ctx context.Context, host int32) (CloakResult, error) {
 		return CloakResult{}, ErrNotReady
 	}
 	asp := csp.Child("anonymizer.cloak")
-	cluster, _, err := gen.Anon.Cloak(ctx, host)
+	cluster, cost, err := gen.Anon.Cloak(ctx, host)
 	asp.End()
 	if err != nil {
 		return CloakResult{Epoch: gen.Epoch}, err
 	}
-	res := CloakResult{Cluster: cluster, Epoch: gen.Epoch, EffectiveK: m.k}
+	res := CloakResult{Cluster: cluster, Cost: cost, Epoch: gen.Epoch, EffectiveK: m.k}
 	// Meta and the per-host profile only matter when someone in this
 	// generation is profiled; a raised floor or area bound implies a
 	// stored non-default profile, so Profiled == 0 keeps the hot path
@@ -1172,9 +1169,6 @@ func (m *Manager) Cloak(ctx context.Context, host int32) (CloakResult, error) {
 		if p, ok := gen.profiles[host]; ok && p.MaxArea > 0 && info.HasArea && info.Area > p.MaxArea {
 			res.Degraded = true
 		}
-	}
-	if gen.billed.CompareAndSwap(false, true) {
-		res.Cost = gen.UploadsIn
 	}
 	return res, nil
 }

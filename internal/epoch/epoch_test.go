@@ -132,6 +132,67 @@ func TestRotatePublishesGeneration(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstCloaksBilledOnce: when 32 goroutines make the first
+// cloaks of a freshly published generation at once, exactly one of them
+// is billed the generation's uploads, and so again for the next
+// generation.
+func TestConcurrentFirstCloaksBilledOnce(t *testing.T) {
+	m, err := New(12, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	uploadRing(t, m, 12)
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			// Re-upload three users with their ranks swapped.
+			for u := int32(0); u < 3; u++ {
+				peers := []RankedPeer{{Peer: (u + 11) % 12, Rank: 1}, {Peer: u + 1, Rank: 2}}
+				if err := m.Upload(bg, UploadRequest{User: u, Peers: peers}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		gen, err := m.RotateAndWait(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers = 32
+		var (
+			wg     sync.WaitGroup
+			billed atomic.Int64
+			total  atomic.Int64
+			failed atomic.Int64
+		)
+		start := make(chan struct{})
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(host int32) {
+				defer wg.Done()
+				<-start
+				res, err := m.Cloak(bg, host)
+				if err != nil || res.Epoch != gen.Epoch {
+					failed.Add(1)
+					return
+				}
+				if res.Cost > 0 {
+					billed.Add(1)
+					total.Add(int64(res.Cost))
+				}
+			}(int32(i % 12))
+		}
+		close(start)
+		wg.Wait()
+		if failed.Load() != 0 {
+			t.Fatalf("epoch %d: %d cloaks failed or left the generation", gen.Epoch, failed.Load())
+		}
+		if billed.Load() != 1 || total.Load() != int64(gen.UploadsIn) {
+			t.Errorf("epoch %d: %d cloaks billed %d in total, want 1 billed %d (UploadsIn)",
+				gen.Epoch, billed.Load(), total.Load(), gen.UploadsIn)
+		}
+	}
+}
+
 func TestRotateSemantics(t *testing.T) {
 	m, err := New(8, WithK(2))
 	if err != nil {

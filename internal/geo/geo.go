@@ -71,11 +71,6 @@ func (r Rect) IsEmpty() bool {
 	return r.Min.X > r.Max.X || r.Min.Y > r.Max.Y
 }
 
-// Valid reports whether r has non-negative extent on both axes.
-func (r Rect) Valid() bool {
-	return !r.IsEmpty()
-}
-
 // Width returns the extent of r along the x axis (0 for empty rectangles).
 func (r Rect) Width() float64 {
 	if r.IsEmpty() {

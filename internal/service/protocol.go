@@ -12,10 +12,7 @@
 // still runs peer-to-peer among the cluster members.
 package service
 
-import (
-	"nonexposure/internal/epoch"
-	"nonexposure/internal/wpg"
-)
+import "nonexposure/internal/epoch"
 
 // Op names the request operations.
 type Op string
@@ -87,10 +84,3 @@ type UploadEntry struct {
 // supported population fits comfortably; anything longer is a protocol
 // violation, not a request.
 const MaxLineBytes = 1 << 20
-
-// buildGraph assembles the WPG from per-user rank uploads. Kept as the
-// package-local name for the reconstruction, now shared with the epoch
-// pipeline.
-func buildGraph(n int, uploads map[int32][]PeerRank) (*wpg.Graph, error) {
-	return epoch.BuildGraph(n, uploads)
-}

@@ -10,6 +10,7 @@ import (
 
 	"nonexposure/internal/core"
 	"nonexposure/internal/dataset"
+	"nonexposure/internal/epoch"
 	"nonexposure/internal/rss"
 	"nonexposure/internal/wpg"
 )
@@ -31,7 +32,7 @@ func uploadsFor(g *wpg.Graph) map[int32][]PeerRank {
 func TestBuildGraphReconstructsWPG(t *testing.T) {
 	pts := dataset.GaussianClusters(300, 3, 0.05, 4)
 	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.05, MaxPeers: 6, Model: rss.InverseModel{}})
-	rebuilt, err := buildGraph(g.NumVertices(), uploadsFor(g))
+	rebuilt, err := epoch.BuildGraph(g.NumVertices(), uploadsFor(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestBuildGraphMutualityAndSelfLoops(t *testing.T) {
 		1: {{Peer: 0, Rank: 2}},
 		2: {}, // 2 never ranked 0 back: no edge
 	}
-	g, err := buildGraph(3, uploads)
+	g, err := epoch.BuildGraph(3, uploads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -61,117 +59,6 @@ func TestHostsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHotspotHosts(t *testing.T) {
-	hs, err := HotspotHosts(10000, 5000, 0.8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) != 5000 {
-		t.Fatalf("len = %d", len(hs))
-	}
-	counts := make(map[int32]int)
-	for _, h := range hs {
-		if h < 0 || h >= 10000 {
-			t.Fatalf("host %d out of range", h)
-		}
-		counts[h]++
-	}
-	// With 80% of 5000 requests on a 100-user pool, the pool users must
-	// repeat heavily: distinct hosts far below 5000.
-	if len(counts) > 2000 {
-		t.Errorf("hotspot workload too spread: %d distinct hosts", len(counts))
-	}
-}
-
-// poolFor replays HotspotHosts' pool construction: the pool is the
-// seeded rng's first output, before any request draws.
-func poolFor(n int, seed int64) map[int32]bool {
-	rng := rand.New(rand.NewSource(seed))
-	pool := samplePool(rng, n, hotspotPoolSize(n))
-	set := make(map[int32]bool, len(pool))
-	for _, p := range pool {
-		set[p] = true
-	}
-	return set
-}
-
-// TestHotspotHostsRealizedFraction pins the bug fixed in this package:
-// the cold branch used to draw from all of [0, n), so cold requests
-// could land inside the hot pool and the realized hot fraction exceeded
-// hot by (1-hot)*|pool|/n — up to 2.5 points in the n=20 case below,
-// far outside the +-1% tolerance. Cold draws now come from the pool's
-// complement, making the realized fraction exactly Binomial(s, hot)/s.
-func TestHotspotHostsRealizedFraction(t *testing.T) {
-	const s = 100000
-	cases := []struct {
-		n    int
-		hot  float64
-		seed int64
-	}{
-		{20, 0.5, 1},      // pool = 1 of 20 users: old cold-branch bias +2.5%
-		{50, 0.3, 2},      // pool = 1 of 50: old bias +1.4%
-		{10000, 0.5, 3},   // pool = 1%
-		{100000, 0.2, 4},  // the acceptance-criterion scale
-		{100000, 0.95, 5}, // hot-dominated mix
-	}
-	for _, tc := range cases {
-		hs, err := HotspotHosts(tc.n, s, tc.hot, tc.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := poolFor(tc.n, tc.seed)
-		hits := 0
-		for _, h := range hs {
-			if pool[h] {
-				hits++
-			}
-		}
-		realized := float64(hits) / s
-		if math.Abs(realized-tc.hot) > 0.01 {
-			t.Errorf("n=%d hot=%v: realized hot fraction %.4f, want within +-0.01", tc.n, tc.hot, realized)
-		}
-	}
-}
-
-// TestHotspotHostsColdOutsidePool asserts the sharper invariant behind
-// the fraction fix: with hot = 0 no request may ever touch the pool.
-func TestHotspotHostsColdOutsidePool(t *testing.T) {
-	const n, s = 5000, 50000
-	hs, err := HotspotHosts(n, s, 0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := poolFor(n, 6)
-	for _, h := range hs {
-		if pool[h] {
-			t.Fatalf("cold request hit pool member %d", h)
-		}
-		if h < 0 || h >= n {
-			t.Fatalf("host %d out of range", h)
-		}
-	}
-}
-
-func TestSamplePoolDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct{ n, k int }{{1, 1}, {50, 1}, {100, 100}, {10000, 100}} {
-		pool := samplePool(rng, tc.n, tc.k)
-		if len(pool) != tc.k {
-			t.Fatalf("n=%d k=%d: len = %d", tc.n, tc.k, len(pool))
-		}
-		seen := make(map[int32]bool)
-		for _, p := range pool {
-			if p < 0 || int(p) >= tc.n {
-				t.Fatalf("n=%d k=%d: id %d out of range", tc.n, tc.k, p)
-			}
-			if seen[p] {
-				t.Fatalf("n=%d k=%d: duplicate id %d", tc.n, tc.k, p)
-			}
-			seen[p] = true
-		}
-	}
-}
-
 // TestWorkloadGoldens pins the exact request streams for one seed, so a
 // cross-run (not just cross-call) determinism break — e.g. a stdlib rng
 // change or an accidental reordering of draws — fails loudly. The bench
@@ -184,8 +71,6 @@ func TestWorkloadGoldens(t *testing.T) {
 	}{
 		{"Hosts", func() ([]int32, error) { return Hosts(1000, 8, 42) },
 			[]int32{459, 954, 99, 787, 858, 17, 934, 655}},
-		{"HotspotHosts", func() ([]int32, error) { return HotspotHosts(1000, 8, 0.5, 42) },
-			[]int32{503, 856, 428, 860, 440, 335, 530, 437}},
 		{"ZipfHosts", func() ([]int32, error) { return ZipfHosts(1000, 8, 1.0, 42) },
 			[]int32{596, 190, 645, 244, 412, 329, 787, 284}},
 	}
@@ -197,36 +82,5 @@ func TestWorkloadGoldens(t *testing.T) {
 		if !reflect.DeepEqual(hs, g.want) {
 			t.Errorf("%s(seed 42) = %v, want %v", g.name, hs, g.want)
 		}
-	}
-}
-
-func TestHotspotHostsDeterministic(t *testing.T) {
-	a, err := HotspotHosts(5000, 2000, 0.7, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := HotspotHosts(5000, 2000, 0.7, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("same seed should reproduce the same workload")
-	}
-}
-
-func TestHotspotHostsValidation(t *testing.T) {
-	if _, err := HotspotHosts(0, 10, 0.5, 1); err == nil {
-		t.Error("n=0 should error")
-	}
-	if _, err := HotspotHosts(10, 10, 1.5, 1); err == nil {
-		t.Error("hot > 1 should error")
-	}
-	if _, err := HotspotHosts(10, 10, -0.1, 1); err == nil {
-		t.Error("hot < 0 should error")
-	}
-	// Tiny n exercises the pool floor.
-	hs, err := HotspotHosts(3, 10, 1.0, 1)
-	if err != nil || len(hs) != 10 {
-		t.Errorf("tiny n: %v %v", hs, err)
 	}
 }

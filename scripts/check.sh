@@ -52,14 +52,16 @@ if grep -rnE 'WithFailover|Failover\{|WithPoolSize|WithDialOptions|WithQueueCapa
 fi
 
 # Exported names that only tests called were deleted with their tests:
-# the wrappers core.ClusterComponent and RegisterCentralizedParallel
-# (their tests call ClusterComponentProfiled(..., nil) and
-# RegisterCentralizedParallelCtx), the random-waypoint mobility model
-# and the one-implementation mobility.Model interface, and
-# anonymizer.Server.Built. None may come back.
+# the wrappers core.ClusterComponent, RegisterCentralizedParallel and
+# RegisterCentralizedParallelCtx (their tests call
+# ClusterComponentProfiled(..., nil) and anonymizer.Build), the
+# random-waypoint mobility model and the one-implementation
+# mobility.Model interface, the lazily built anonymizer's constructor,
+# options and Server.Built, workload.HotspotHosts, and the dataset's
+# CSV/gob save/load and Normalize. None may come back.
 echo "==> no deleted test-only names"
-if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RandomWaypoint|mobility\.Model\b|\.Built\(\)' --include='*.go' .; then
-    echo "deleted name found (call ClusterComponentProfiled(..., nil), RegisterCentralizedParallelCtx or LocalWander instead)" >&2
+if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)' --include='*.go' .; then
+    echo "deleted name found (call ClusterComponentProfiled(..., nil), anonymizer.Build or anonymizer.New, or LocalWander instead)" >&2
     exit 1
 fi
 
@@ -235,8 +237,9 @@ churn_out=$(go run ./cmd/cloaksim -churn 2 -n 300 -k 4 -workers 4)
 echo "$churn_out" | grep -q 'unserved=0' \
     || { echo "churn smoke: sweep reported unserved users:" >&2; echo "$churn_out" >&2; exit 1; }
 
-# Load-generator smoke: the Zipf replay against the lazily built
-# anonymizer; hard cloak failures already exit nonzero on their own.
+# Load-generator smoke: the Zipf replay against an anonymizer built
+# before the replay; hard cloak failures already exit nonzero on their
+# own.
 echo "==> cloaksim -load smoke"
 load_out=$(go run ./cmd/cloaksim -load 2000 -n 300 -k 4 -workers 2)
 echo "$load_out" | grep -q 'clusters cover' \
