@@ -22,11 +22,6 @@
 // -cluster runs the same loop against a sharded cloakd cluster behind a
 // routing coordinator, every upload and cloak crossing the wire.
 //
-// With -cell it runs one experiment-grid cell (internal/bench): -reps
-// repetitions of cold build + churn ticks + a Zipf-skewed request replay
-// over the (n, k, churnfrac, workers) point, printing the aggregated
-// CellResult as JSON.
-//
 // With -faults it runs the deterministic fault-injection harness: N
 // seeded scenarios (message loss, lossy links, loss bursts, node
 // crashes, partitions) drive the full two-phase protocol over the
@@ -39,13 +34,11 @@
 //	cloaksim -n 20000 -k 10 -load 100000 -workers 32
 //	cloaksim -n 5000 -k 10 -churn 20 -churnfrac 0.2
 //	cloaksim -cluster -shards 2 -n 2000 -k 5 -churn 2
-//	cloaksim -cell -n 1000 -k 5 -churnfrac 0.1 -workers 2 -reps 3
 //	cloaksim -faults 500 -faultseed 1
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -90,9 +83,6 @@ type simConfig struct {
 	faults        int
 	faultSeed     int64
 	showTrace     bool
-	cell          bool
-	reps          int
-	ticks         int
 	theta         float64
 	profiles      bool
 	cluster       bool
@@ -105,12 +95,9 @@ type simConfig struct {
 // validate rejects bad flag combinations up front, before any dataset
 // is generated, with messages that name the offending flag.
 func (c simConfig) validate() error {
-	if c.profiles && c.cell {
-		return fmt.Errorf("-profiles and -cell are mutually exclusive (use -cell with a profiles grid via scripts/bench instead)")
-	}
 	if c.cluster {
-		if c.profiles || c.cell || c.faults > 0 {
-			return fmt.Errorf("-cluster cannot be combined with -profiles, -cell, or -faults")
+		if c.profiles || c.faults > 0 {
+			return fmt.Errorf("-cluster cannot be combined with -profiles or -faults")
 		}
 		if c.shards < 1 {
 			return fmt.Errorf("-shards must be >= 1 with -cluster, got %d", c.shards)
@@ -169,17 +156,6 @@ func (c simConfig) validate() error {
 	if c.theta < 0 || math.IsNaN(c.theta) || math.IsInf(c.theta, 0) {
 		return fmt.Errorf("-theta must be finite and >= 0, got %g", c.theta)
 	}
-	if c.cell {
-		if c.reps < 1 {
-			return fmt.Errorf("-reps must be >= 1, got %d", c.reps)
-		}
-		if c.ticks < 1 {
-			return fmt.Errorf("-ticks must be >= 1 in -cell mode, got %d", c.ticks)
-		}
-		if c.churnFrac <= 0 || c.churnFrac > 1 {
-			return fmt.Errorf("-churnfrac must be in (0,1], got %g", c.churnFrac)
-		}
-	}
 	return nil
 }
 
@@ -196,16 +172,13 @@ func main() {
 	flag.Float64Var(&cfg.loss, "loss", 0, "message loss rate for -network")
 	flag.IntVar(&cfg.nearby, "nearby", 3, "after cloaking, fetch this many nearest POIs (0 = skip)")
 	flag.IntVar(&cfg.load, "load", 0, "load-generator mode: issue this many concurrent cloak requests (0 = off)")
-	flag.IntVar(&cfg.workers, "workers", 16, "concurrent cloak clients for -load, -churn, -cluster and -cell, and clustering workers per epoch build")
+	flag.IntVar(&cfg.workers, "workers", 16, "concurrent cloak clients for -load, -churn and -cluster, and clustering workers per epoch build")
 	flag.IntVar(&cfg.churn, "churn", 0, "churn mode: run this many mobility ticks through the epoch pipeline (0 = off)")
 	flag.Float64Var(&cfg.churnFrac, "churnfrac", 0.2, "fraction of users re-uploading per churn tick")
 	flag.IntVar(&cfg.faults, "faults", 0, "fault-injection mode: run this many seeded fault scenarios (0 = off)")
 	flag.Int64Var(&cfg.faultSeed, "faultseed", 1, "first scenario seed for -faults")
 	flag.BoolVar(&cfg.showTrace, "trace", false, "print the span tree of the cloak request (single-request mode)")
-	flag.BoolVar(&cfg.cell, "cell", false, "grid-cell mode: run one bench cell (n,k,churnfrac,workers) and print its CellResult as JSON")
-	flag.IntVar(&cfg.reps, "reps", 1, "repetitions per cell for -cell")
-	flag.IntVar(&cfg.ticks, "ticks", 4, "churn ticks per rep for -cell")
-	flag.Float64Var(&cfg.theta, "theta", 0.8, "Zipf skew of the request mix for -cell and -load")
+	flag.Float64Var(&cfg.theta, "theta", 0.8, "Zipf skew of the request mix for -load")
 	flag.BoolVar(&cfg.profiles, "profiles", false, "utility-frontier mode: run the mixed privacy-profile tier mix through the epoch pipeline and report per-tier cloak area vs candidate-set size")
 	flag.BoolVar(&cfg.cluster, "cluster", false, "cluster mode: bring up a sharded cloakd cluster behind a routing coordinator and run the -churn loop against it (0 -churn ticks = 2)")
 	flag.IntVar(&cfg.shards, "shards", 2, "shard count for -cluster")
@@ -223,8 +196,6 @@ func main() {
 			err = runCluster(cfg)
 		case cfg.profiles:
 			err = runProfiles(cfg)
-		case cfg.cell:
-			err = runGridCell(cfg)
 		case cfg.faults > 0:
 			err = runFaults(cfg.faults, cfg.faultSeed)
 		case cfg.churn > 0:
@@ -240,31 +211,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cloaksim:", err)
 		os.Exit(1)
 	}
-}
-
-// runGridCell is the experiment-grid entry point: one bench cell over
-// the flag-selected (n, k, churnfrac, workers) point, repeated -reps
-// times, with the aggregated CellResult printed as JSON so scripts/bench
-// (or anything else) can drive cells out of process. -load sets the
-// request count when nonzero.
-func runGridCell(cfg simConfig) error {
-	requests := cfg.load
-	if requests == 0 {
-		requests = 2000
-	}
-	res, err := bench.RunCell(
-		bench.CellParams{N: cfg.n, K: cfg.k, ChurnFrac: cfg.churnFrac, Workers: cfg.workers},
-		bench.CellConfig{Ticks: cfg.ticks, Requests: requests, Theta: cfg.theta, Seed: cfg.seed, Reps: cfg.reps},
-	)
-	if err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(b))
-	return nil
 }
 
 // target is what the churn-under-load loop drives: one process's epoch

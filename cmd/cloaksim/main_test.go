@@ -39,16 +39,10 @@ func TestSimConfigValidate(t *testing.T) {
 		{"loss above one", func(c *simConfig) { c.loss = 1.5 }, "-loss must be in [0,1]"},
 		{"negative nearby", func(c *simConfig) { c.nearby = -1 }, "-nearby must be >= 0"},
 		{"negative delta", func(c *simConfig) { c.delta = -1e-3 }, "-delta must be >= 0"},
-		{"cell mode", func(c *simConfig) { c.cell = true; c.reps = 1; c.ticks = 2; c.theta = 0.8 }, ""},
-		{"cell zero reps", func(c *simConfig) { c.cell = true; c.ticks = 2 }, "-reps must be >= 1"},
-		{"cell zero ticks", func(c *simConfig) { c.cell = true; c.reps = 1 }, "-ticks must be >= 1"},
-		{"cell negative theta", func(c *simConfig) { c.cell = true; c.reps = 1; c.ticks = 2; c.theta = -1 }, "-theta must be finite"},
-		{"cell nan theta", func(c *simConfig) { c.cell = true; c.reps = 1; c.ticks = 2; c.theta = math.NaN() }, "-theta must be finite"},
+		{"load nan theta", func(c *simConfig) { c.load = 100; c.theta = math.NaN() }, "-theta must be finite"},
 		{"load negative theta", func(c *simConfig) { c.load = 100; c.theta = -0.5 }, "-theta must be finite"},
 		{"load zipf theta", func(c *simConfig) { c.load = 100; c.theta = 1.0 }, ""},
 		{"profiles mode", func(c *simConfig) { c.profiles = true }, ""},
-		{"profiles with cell", func(c *simConfig) { c.profiles = true; c.cell = true; c.reps = 1; c.ticks = 2 },
-			"-profiles and -cell are mutually exclusive"},
 		{"profiles with load", func(c *simConfig) { c.profiles = true; c.load = 100 },
 			"-profiles cannot be combined"},
 		{"profiles with churn", func(c *simConfig) { c.profiles = true; c.churn = 5 },
@@ -71,12 +65,6 @@ func TestSimConfigValidate(t *testing.T) {
 			"out of range"},
 		{"kill-shard without failover", func(c *simConfig) { c.cluster = true; c.shards = 2; c.killShard = 1; c.failoverAfter = 0 },
 			"-failover-after must be > 0"},
-		{"cell bad churnfrac", func(c *simConfig) {
-			c.cell = true
-			c.reps = 1
-			c.ticks = 2
-			c.churnFrac = 0
-		}, "-churnfrac must be in (0,1]"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/service"
-	"nonexposure/internal/trace"
 )
 
 // Handler is the admin HTTP handler for one service.Server.
@@ -82,10 +81,6 @@ func (h *Handler) handleTracez(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w)
 	}
 }
-
-// Recorder returns the trace recorder feeding /tracez (nil when the
-// server runs untraced).
-func (h *Handler) Recorder() *trace.Recorder { return h.srv.Tracer() }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -57,13 +57,7 @@ func New(ctx context.Context, g *wpg.Graph, k int, clusters []*core.Cluster, cos
 	}
 	s := &Server{n: g.NumVertices(), k: k, cost: cost, reg: core.NewRegistry(g.NumVertices())}
 	rsp := trace.FromContext(ctx).Child("core.register")
-	memberSets := make([][]int32, len(clusters))
-	ts := make([]int32, len(clusters))
-	for i, c := range clusters {
-		memberSets[i] = c.Members
-		ts[i] = c.T
-	}
-	_, err := s.reg.AdoptBatch(memberSets, ts)
+	_, err := s.reg.AdoptBatch(clusters)
 	rsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("anonymizer: adopt clusters: %w", err)

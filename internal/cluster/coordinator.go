@@ -155,7 +155,9 @@ func WithClusterMetrics(cm *metrics.ClusterMetrics) Option {
 // WithEveryUploads auto-rotates the cluster after every n accepted
 // uploads (0 = manual, the default). The rotation runs asynchronously
 // and is skipped while another is in flight, mirroring the single-process
-// EveryUploads policy's best-effort cadence.
+// EveryUploads policy's best-effort cadence. A writer parked behind a
+// shard that has been failing for DeadAfter starts one too, once every
+// DeadAfter while it waits, so that shard is declared dead.
 func WithEveryUploads(n int) Option {
 	return func(c *Coordinator) { c.every = n }
 }
@@ -343,14 +345,32 @@ func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 	}
 
 	if autoRotate {
-		go func() {
-			if c.rotateMu.TryLock() {
-				c.rotateMu.Unlock()
-				_, _ = c.Rotate(context.Background())
-			}
-		}()
+		c.rotateAsync()
 	}
-	return c.senders[shard].waitCap(ctx)
+	// Only a rotation declares a shard dead, and an auto-rotating
+	// coordinator rotates only on uploads, which a parked writer no
+	// longer makes: while it waits behind a shard failing for DeadAfter,
+	// it starts the rotation that re-homes it.
+	var parked func()
+	if c.every > 0 {
+		parked = func() {
+			if c.health[shard].failingFor(time.Now()) >= c.deadAfter {
+				c.rotateAsync()
+			}
+		}
+	}
+	return c.senders[shard].waitCap(ctx, c.deadAfter, parked)
+}
+
+// rotateAsync starts a rotation in the background unless one is
+// already in flight.
+func (c *Coordinator) rotateAsync() {
+	go func() {
+		if c.rotateMu.TryLock() {
+			c.rotateMu.Unlock()
+			_, _ = c.Rotate(context.Background())
+		}
+	}()
 }
 
 // Flush blocks until every forward enqueued before the call has been

@@ -439,6 +439,48 @@ func TestPartitionedShardRevivesClean(t *testing.T) {
 	}
 }
 
+// TestParkedWriterStartsFailover parks a writer behind a failing shard
+// of an auto-rotating coordinator. Only uploads start its rotations, and
+// a parked writer makes none, so unless the parked writer starts one
+// itself nothing declares shard 1 dead and the writer waits out its
+// whole context. Once shard 1 fails over, every upload is accepted and
+// the next rotation serves every user the single-process answer.
+func TestParkedWriterStartsFailover(t *testing.T) {
+	const n, k = 40, 2
+	const uploads = 20000
+	ref := startReference(t, n, k)
+	cm := metrics.NewClusterMetrics()
+	coord, proxy := proxiedCluster(t, n, k, cm, WithEveryUploads(100), WithDeadAfter(200*time.Millisecond))
+	proxy.setDown(true)
+
+	ctx, cancel := context.WithTimeout(bg, 6*time.Second)
+	defer cancel()
+	for i := 0; i < uploads; i++ {
+		u := int32(20 + i%20)
+		if err := coord.Upload(ctx, UploadRequest{User: u, Peers: ringPeers(u, 20, 39)}); err != nil {
+			snap := cm.Snapshot()
+			t.Fatalf("upload %d: %v (rotations %d, failovers %d, shard states %v)",
+				i, err, snap.Rotations, snap.Failovers, snap.ShardStates)
+		}
+	}
+	if snap := cm.Snapshot(); !coord.health[1].isDead() || snap.Failovers == 0 {
+		t.Fatalf("after %d uploads: failovers %d, shard states %v; want shard 1 dead", uploads, snap.Failovers, snap.ShardStates)
+	}
+
+	for u := int32(20); u < n; u++ {
+		if err := ref.Upload(u, ringPeers(u, 20, 39)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ref.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Rotate(bg); err != nil {
+		t.Fatal(err)
+	}
+	compareAllUsers(t, n, k, ref, coord)
+}
+
 // TestDropQueueMidFlightKeepsLaterForwards declares a shard's queue
 // dropped while a batch is in flight, then enqueues a new forward before
 // the stale batch's reply arrives. That reply acknowledges only the

@@ -95,9 +95,11 @@ func (s *orderedSender) enqueue(it service.UploadEntry) error {
 // waitCap blocks while the queue is over capacity — soft backpressure so
 // a writer outrunning the shard parks instead of growing the queue
 // without bound. Behind a failing shard it parks until the shard
-// recovers or a rotation declares it dead. Called after the routing
-// lock is released.
-func (s *orderedSender) waitCap(ctx context.Context) error {
+// recovers or a rotation declares it dead; parked, when non-nil, runs
+// once every period while the writer stays parked, so the caller can
+// start that rotation. Called after the routing lock is released.
+func (s *orderedSender) waitCap(ctx context.Context, period time.Duration, parked func()) error {
+	var tick <-chan time.Time
 	for {
 		s.mu.Lock()
 		if s.closed || len(s.queue) <= queueCapacity {
@@ -109,8 +111,15 @@ func (s *orderedSender) waitCap(ctx context.Context) error {
 		}
 		ch := s.notFull
 		s.mu.Unlock()
+		if parked != nil && tick == nil {
+			t := time.NewTicker(period)
+			defer t.Stop()
+			tick = t.C
+		}
 		select {
 		case <-ch:
+		case <-tick:
+			parked()
 		case <-ctx.Done():
 			return ctx.Err()
 		}

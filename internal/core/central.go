@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"nonexposure/internal/graph"
 	"nonexposure/internal/wpg"
@@ -53,23 +54,77 @@ func CentralizedTConnProfiled(g *wpg.Graph, k int, ks []int32) (clusters []*Clus
 	if ks != nil && len(ks) != n {
 		panic(fmt.Sprintf("core: ks length %d != %d vertices", len(ks), n))
 	}
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return tconnInduced(ids, g.Neighbors, k, ks)
+}
+
+// relabels holds the vertex-indexed relabel arrays tconnInduced reuses
+// across calls; concurrent clustering workers each take their own.
+var relabels = sync.Pool{New: func() any { return new([]int32) }}
+
+// tconnInduced is the one implementation of Algorithm 1. It partitions
+// the subgraph that the vertex list ids induces without building that
+// subgraph: local vertex i is ids[i], and row(i) is ids[i]'s adjacency
+// row in global ids, sorted by (W, To). Every (W, U, V) tie breaks as
+// in a subgraph relabeled in list order, so an ascending list clusters
+// exactly as the same vertices do inside the whole graph. Neighbours
+// outside ids are ignored; an edge counts once, from the row of its
+// endpoint that comes first in ids. ks holds per-vertex floors indexed
+// by global id (nil = uniform k). Clusters come back numbered in
+// emission order (ascending smallest local member) and, like the
+// undersized groups, in global ids sorted ascending.
+func tconnInduced(ids []int32, row func(i int32) []wpg.Edge, k int, ks []int32) (clusters []*Cluster, undersized [][]int32) {
+	n := len(ids)
+	if n == 0 {
+		return nil, nil
+	}
 	kOf := func(v int32) int {
-		if ks != nil && int(ks[v]) > k {
-			return int(ks[v])
+		if ks != nil && int(ks[ids[v]]) > k {
+			return int(ks[ids[v]])
 		}
 		return k
 	}
 	kmax := k
 	if ks != nil {
-		for _, kv := range ks {
-			if int(kv) > kmax {
-				kmax = int(kv)
-			}
+		for v := range int32(n) {
+			kmax = max(kmax, kOf(v))
 		}
 	}
 
+	// local[v] is v's index in ids. The array is pooled and never
+	// cleared, so a lookup only counts when ids[local[v]] == v. The
+	// edge list is sized from the row lengths: each member edge sits in
+	// two of them.
+	lp := relabels.Get().(*[]int32)
+	top, total := int32(0), 0
+	for i, v := range ids {
+		top = max(top, v)
+		total += len(row(int32(i)))
+	}
+	if len(*lp) <= int(top) {
+		*lp = make([]int32, top+1)
+	}
+	local := *lp
+	for i, v := range ids {
+		local[v] = int32(i)
+	}
+	edges := make([]graph.Edge, 0, total/2)
+	for i := range int32(n) {
+		for _, e := range row(i) {
+			if uint(e.To) >= uint(len(local)) {
+				continue
+			}
+			if j := local[e.To]; j > i && int(j) < n && ids[j] == e.To {
+				edges = append(edges, graph.Edge{U: i, V: j, W: e.W})
+			}
+		}
+	}
+	relabels.Put(lp)
+
 	// Minimum spanning forest via Kruskal over ascending (W, U, V).
-	edges := g.Edges()
 	slices.SortFunc(edges, func(a, b graph.Edge) int {
 		if a.W != b.W {
 			return cmp.Compare(a.W, b.W)
@@ -179,13 +234,18 @@ func CentralizedTConnProfiled(g *wpg.Graph, k int, ks []int32) (clusters []*Clus
 				}
 			}
 		}
+		global := make([]int32, len(members))
+		for j, lv := range members {
+			global[j] = ids[lv]
+		}
+		slices.Sort(global)
 		if len(members) < need {
-			undersized = append(undersized, sortedCopy(members))
+			undersized = append(undersized, global)
 			continue
 		}
 		clusters = append(clusters, &Cluster{
 			ID:      int32(len(clusters)),
-			Members: sortedCopy(members),
+			Members: global,
 			T:       maxW,
 		})
 	}
@@ -197,13 +257,7 @@ func CentralizedTConnProfiled(g *wpg.Graph, k int, ks []int32) (clusters []*Clus
 // users left unclustered because their component is undersized.
 func RegisterCentralized(g *wpg.Graph, k int, reg *Registry) ([]*Cluster, int, error) {
 	clusters, undersized := CentralizedTConn(g, k)
-	memberSets := make([][]int32, len(clusters))
-	ts := make([]int32, len(clusters))
-	for i, c := range clusters {
-		memberSets[i] = c.Members
-		ts[i] = c.T
-	}
-	registered, err := reg.AddBatch(memberSets, ts)
+	registered, err := reg.AddBatch(clusters)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: register centralized clusters: %w", err)
 	}
@@ -212,10 +266,4 @@ func RegisterCentralized(g *wpg.Graph, k int, reg *Registry) ([]*Cluster, int, e
 		skipped += len(u)
 	}
 	return registered, skipped, nil
-}
-
-func sortedCopy(s []int32) []int32 {
-	out := slices.Clone(s)
-	slices.Sort(out)
-	return out
 }

@@ -15,11 +15,11 @@ import (
 // clustering drops to roughly the largest component on multi-core.
 //
 // workers <= 0 selects GOMAXPROCS. The result is deterministic and
-// identical to the serial algorithm: within a component the induced
-// subgraph preserves the global edge ordering (local ids are assigned in
-// ascending global order, so (W, U, V) ties break the same way), and the
-// merged clusters are renumbered in discovery order — ascending smallest
-// member — exactly as the serial full-graph scan emits them.
+// identical to the serial algorithm: each component is clustered as an
+// ascending vertex list (see ClusterComponentProfiled), so (W, U, V)
+// ties break as in the whole graph, and the merged clusters are
+// renumbered in discovery order — ascending smallest member — exactly
+// as the serial full-graph scan emits them.
 func CentralizedTConnParallel(g *wpg.Graph, k, workers int) (clusters []*Cluster, undersized [][]int32) {
 	return CentralizedTConnParallelProfiled(g, k, nil, workers)
 }
@@ -78,53 +78,32 @@ func CentralizedTConnParallelProfiled(g *wpg.Graph, k int, ks []int32, workers i
 }
 
 // ClusterComponentProfiled runs the serial safe-removal partition on
-// the subgraph induced by one connected component and maps the result
-// back to global vertex ids. members must be a complete connected
-// component of g, sorted ascending. Cluster IDs in the result are local
-// to the component; whole-graph callers renumber after merging (see
-// CentralizedTConnParallel). This is the shard-level entry point the
-// incremental epoch rebuild uses to re-cluster only dirty components.
+// one connected component of g, read straight off g's rows with no
+// subgraph built, and returns clusters and undersized groups in global
+// vertex ids. members must be a complete connected component of g,
+// sorted ascending, so every tie breaks as in the whole-graph run.
+// Cluster IDs in the result are local to the component; whole-graph
+// callers renumber after merging (see CentralizedTConnParallel). This is
+// the shard-level entry point the incremental epoch rebuild uses to
+// re-cluster only dirty components.
 //
 // ks holds per-vertex anonymity floors indexed by GLOBAL vertex id (nil
-// = uniform k); the floors of the component's members are carried into
-// the induced subgraph. A component smaller than its largest effective
-// floor is wholly undersized: the demanding vertex sits on one side of
-// every candidate removal, so no split is ever safe and the component
-// stays one (invalid) group — the shortcut matches the full algorithm.
+// = uniform k). A component smaller than its largest effective floor is
+// wholly undersized: the demanding vertex sits on one side of every
+// candidate removal, so no split is ever safe and the component stays
+// one (invalid) group — the shortcut matches the full algorithm.
 func ClusterComponentProfiled(g *wpg.Graph, members []int32, k int, ks []int32) (clusters []*Cluster, undersized [][]int32) {
 	if k < 1 {
 		panic(fmt.Sprintf("core: k must be >= 1, got %d", k))
 	}
 	need := k
-	var localKs []int32
 	if ks != nil {
-		localKs = make([]int32, len(members))
-		for i, v := range members {
-			localKs[i] = ks[v]
-			if int(ks[v]) > need {
-				need = int(ks[v])
-			}
+		for _, v := range members {
+			need = max(need, int(ks[v]))
 		}
 	}
 	if len(members) < need {
 		return nil, [][]int32{append([]int32(nil), members...)}
 	}
-
-	// A component is closed under adjacency and members is ascending,
-	// so the subgraph reads straight off g's sorted rows.
-	localClusters, localUndersized := CentralizedTConnProfiled(g.Induced(members), k, localKs)
-	for _, c := range localClusters {
-		for j, lv := range c.Members {
-			c.Members[j] = members[lv]
-		}
-		clusters = append(clusters, c)
-	}
-	for _, u := range localUndersized {
-		gu := make([]int32, len(u))
-		for j, lv := range u {
-			gu[j] = members[lv]
-		}
-		undersized = append(undersized, gu)
-	}
-	return clusters, undersized
+	return tconnInduced(members, func(i int32) []wpg.Edge { return g.Neighbors(members[i]) }, k, ks)
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -257,4 +259,112 @@ func splitWouldInvalidate(g *wpg.Graph, members []int32, t int32, k int) bool {
 		}
 	}
 	return false
+}
+
+// relabeledTConn is the construction tconnInduced replaced: the
+// member-internal edges of ids, relabeled in list order through a map,
+// built into a graph with wpg.FromEdges, clustered with
+// CentralizedTConnProfiled, and the result mapped back to global ids.
+func relabeledTConn(g *wpg.Graph, ids []int32, k int, ks []int32) ([]*Cluster, [][]int32) {
+	local := make(map[int32]int32, len(ids))
+	for i, v := range ids {
+		local[v] = int32(i)
+	}
+	var edges []graph.Edge
+	for i, v := range ids {
+		for _, e := range g.Neighbors(v) {
+			if j, ok := local[e.To]; ok && int32(i) < j {
+				edges = append(edges, graph.Edge{U: int32(i), V: j, W: e.W})
+			}
+		}
+	}
+	var localKs []int32
+	if ks != nil {
+		localKs = make([]int32, len(ids))
+		for i, v := range ids {
+			localKs[i] = ks[v]
+		}
+	}
+	clusters, undersized := CentralizedTConnProfiled(wpg.MustFromEdges(len(ids), edges), k, localKs)
+	global := func(ms []int32) []int32 {
+		out := make([]int32, len(ms))
+		for j, lv := range ms {
+			out[j] = ids[lv]
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, c := range clusters {
+		c.Members = global(c.Members)
+	}
+	for i, u := range undersized {
+		undersized[i] = global(u)
+	}
+	return clusters, undersized
+}
+
+// TestTConnInducedMatchesRelabeledSubgraph is the differential for the
+// one relabel: clustering a vertex list in place must equal clustering
+// the subgraph it induces, built and relabeled the old way — the same
+// clusters (members, T and order) and undersized groups. Lists: every
+// component in ascending order (the shard build, through
+// ClusterComponentProfiled), random ascending subsets, and the same
+// subsets shuffled (the span's discovery order); weights are drawn from
+// a small range so (W, U, V) ties are everywhere.
+func TestTConnInducedMatchesRelabeledSubgraph(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		g := randomGraph(rng, n, rng.Intn(n*(n-1)/4+1), 1+rng.Intn(4))
+		comps := g.Components()
+		var subsets [][]int32
+		for range 3 {
+			var sub []int32
+			for v := range int32(n) {
+				if rng.Intn(2) == 0 {
+					sub = append(sub, v)
+				}
+			}
+			shuffled := slices.Clone(sub)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			subsets = append(subsets, sub, shuffled)
+		}
+		for _, k := range []int{1, 2, 3, 5} {
+			for _, floors := range []bool{false, true} {
+				var ks []int32
+				if floors {
+					ks = make([]int32, n)
+					for v := range ks {
+						if rng.Intn(4) == 0 {
+							ks[v] = int32(1 + rng.Intn(2*k+2))
+						}
+					}
+				}
+				check := func(what string, ids []int32, gotC []*Cluster, gotU [][]int32) {
+					t.Helper()
+					wantC, wantU := relabeledTConn(g, ids, k, ks)
+					if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotU, wantU) {
+						t.Fatalf("seed %d k=%d floors=%v %s %v:\n got %v undersized %v\nwant %v undersized %v",
+							seed, k, floors, what, ids, clusterStrings(gotC), gotU, clusterStrings(wantC), wantU)
+					}
+				}
+				for _, comp := range comps {
+					gotC, gotU := ClusterComponentProfiled(g, comp, k, ks)
+					check("component", comp, gotC, gotU)
+				}
+				for _, ids := range subsets {
+					gotC, gotU := tconnInduced(ids, func(i int32) []wpg.Edge { return g.Neighbors(ids[i]) }, k, ks)
+					check("subset", ids, gotC, gotU)
+				}
+			}
+		}
+	}
+}
+
+func clusterStrings(cs []*Cluster) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = fmt.Sprintf("#%d T=%d %v", c.ID, c.T, c.Members)
+	}
+	return out
 }

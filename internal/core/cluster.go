@@ -111,21 +111,24 @@ func (r *Registry) NumAssigned() int {
 	return n
 }
 
-// Add registers a new cluster over the given members (any order; the
-// slice is copied and sorted). It fails if any member is already assigned,
-// which would break reciprocity.
+// Add registers one cluster over the given members (any order; the
+// slice is copied and sorted). It fails if a member is listed twice or
+// already assigned, which would break reciprocity.
 func (r *Registry) Add(members []int32, t int32) (*Cluster, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.addLocked(members, t)
+	out, err := r.addBatch([]*Cluster{{Members: members, T: t}}, false)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// AddBatch registers several clusters atomically: either all succeed or
-// none are applied. Used when a distributed run partitions its whole
-// spanned set at once. Each member set is copied and sorted, so the
-// caller keeps ownership of its slices.
-func (r *Registry) AddBatch(memberSets [][]int32, ts []int32) ([]*Cluster, error) {
-	return r.addBatch(memberSets, ts, false)
+// AddBatch registers clusters atomically: either all succeed or none
+// are applied. It reads each cluster's Members and T and ignores its
+// ID; the registry keeps its own *Cluster values, numbered in batch
+// order, and copies and sorts each member set, so the caller keeps
+// ownership of its clusters.
+func (r *Registry) AddBatch(clusters []*Cluster) ([]*Cluster, error) {
+	return r.addBatch(clusters, false)
 }
 
 // AdoptBatch is AddBatch for member sets the caller hands over for
@@ -135,34 +138,33 @@ func (r *Registry) AddBatch(memberSets [][]int32, ts []int32) ([]*Cluster, error
 // successive epoch generations share the member lists of every
 // component they splice. Validation is AddBatch's, plus the order
 // check.
-func (r *Registry) AdoptBatch(memberSets [][]int32, ts []int32) ([]*Cluster, error) {
-	return r.addBatch(memberSets, ts, true)
+func (r *Registry) AdoptBatch(clusters []*Cluster) ([]*Cluster, error) {
+	return r.addBatch(clusters, true)
 }
 
 // pending marks a user claimed by the batch being validated.
 const pending = -2
 
-func (r *Registry) addBatch(memberSets [][]int32, ts []int32, adopt bool) ([]*Cluster, error) {
-	if len(memberSets) != len(ts) {
-		return nil, fmt.Errorf("core: AddBatch: %d member sets but %d connectivities", len(memberSets), len(ts))
-	}
+func (r *Registry) addBatch(clusters []*Cluster, adopt bool) ([]*Cluster, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Validate everything up front so failure leaves no partial state.
 	// The batch's users are marked pending in assign itself — a dense
-	// stamp that catches a user listed twice — and unmarked on failure.
+	// stamp that catches a user listed twice, in one set or in two —
+	// and unmarked on failure.
 	fail := func(i, j int, err error) ([]*Cluster, error) {
-		for _, ms := range memberSets[:i] {
-			for _, v := range ms {
+		for _, c := range clusters[:i] {
+			for _, v := range c.Members {
 				r.assign[v] = -1
 			}
 		}
-		for _, v := range memberSets[i][:j] {
+		for _, v := range clusters[i].Members[:j] {
 			r.assign[v] = -1
 		}
 		return nil, err
 	}
-	for i, ms := range memberSets {
+	for i, c := range clusters {
+		ms := c.Members
 		if len(ms) == 0 {
 			return fail(i, 0, fmt.Errorf("core: empty cluster"))
 		}
@@ -173,22 +175,23 @@ func (r *Registry) addBatch(memberSets [][]int32, ts []int32, adopt bool) ([]*Cl
 			case adopt && j > 0 && ms[j-1] >= v:
 				return fail(i, j, fmt.Errorf("core: adopted member set %d not strictly ascending at user %d", i, v))
 			case r.assign[v] == pending:
-				return fail(i, j, fmt.Errorf("core: user %d appears in two batch clusters", v))
+				return fail(i, j, fmt.Errorf("core: user %d listed twice", v))
 			case r.assign[v] >= 0:
 				return fail(i, j, fmt.Errorf("core: user %d already in cluster %d", v, r.assign[v]))
 			}
 			r.assign[v] = pending
 		}
 	}
-	slab := make([]Cluster, len(memberSets))
-	out := make([]*Cluster, len(memberSets))
-	for i, ms := range memberSets {
+	slab := make([]Cluster, len(clusters))
+	out := make([]*Cluster, len(clusters))
+	for i, in := range clusters {
+		ms := in.Members
 		if !adopt {
 			ms = slices.Clone(ms)
 			slices.Sort(ms)
 		}
 		c := &slab[i]
-		*c = Cluster{ID: int32(len(r.clusters)), Members: ms, T: ts[i]}
+		*c = Cluster{ID: int32(len(r.clusters)), Members: ms, T: in.T}
 		r.clusters = append(r.clusters, c)
 		for _, v := range ms {
 			r.assign[v] = c.ID
@@ -196,31 +199,6 @@ func (r *Registry) addBatch(memberSets [][]int32, ts []int32, adopt bool) ([]*Cl
 		out[i] = c
 	}
 	return out, nil
-}
-
-func (r *Registry) addLocked(members []int32, t int32) (*Cluster, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("core: empty cluster")
-	}
-	ms := slices.Clone(members)
-	slices.Sort(ms)
-	for i, v := range ms {
-		if int(v) < 0 || int(v) >= len(r.assign) {
-			return nil, fmt.Errorf("core: user %d out of range", v)
-		}
-		if i > 0 && ms[i-1] == v {
-			return nil, fmt.Errorf("core: duplicate member %d", v)
-		}
-		if r.assign[v] >= 0 {
-			return nil, fmt.Errorf("core: user %d already in cluster %d", v, r.assign[v])
-		}
-	}
-	c := &Cluster{ID: int32(len(r.clusters)), Members: ms, T: t}
-	r.clusters = append(r.clusters, c)
-	for _, v := range ms {
-		r.assign[v] = c.ID
-	}
-	return c, nil
 }
 
 // Clusters returns a snapshot of all registered clusters.

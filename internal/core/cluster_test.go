@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,8 +70,8 @@ func TestRegistryRejectsDoubleAssignment(t *testing.T) {
 	if _, err := r.Add([]int32{1, 2}, 1); err == nil {
 		t.Error("overlapping cluster must be rejected (reciprocity)")
 	}
-	if _, err := r.Add([]int32{2, 2}, 1); err == nil {
-		t.Error("duplicate member must be rejected")
+	if _, err := r.Add([]int32{2, 2}, 1); err == nil || !strings.Contains(err.Error(), "user 2 listed twice") {
+		t.Errorf("duplicate member: err = %v, want user 2 listed twice", err)
 	}
 	if _, err := r.Add(nil, 1); err == nil {
 		t.Error("empty cluster must be rejected")
@@ -84,25 +85,46 @@ func TestRegistryRejectsDoubleAssignment(t *testing.T) {
 	}
 }
 
+// batch turns member sets into the clusters AddBatch and AdoptBatch
+// take, each with connectivity ts[i] (0 when ts is short).
+func batch(ts []int32, sets ...[]int32) []*Cluster {
+	out := make([]*Cluster, len(sets))
+	for i, ms := range sets {
+		out[i] = &Cluster{Members: ms}
+		if i < len(ts) {
+			out[i].T = ts[i]
+		}
+	}
+	return out
+}
+
 func TestRegistryAddBatchAtomic(t *testing.T) {
 	r := NewRegistry(6)
-	_, err := r.AddBatch([][]int32{{0, 1}, {1, 2}}, []int32{1, 1})
-	if err == nil {
-		t.Fatal("batch with overlapping clusters must fail")
+	_, err := r.AddBatch(batch(nil, []int32{0, 1}, []int32{1, 2}))
+	if err == nil || !strings.Contains(err.Error(), "user 1 listed twice") {
+		t.Fatalf("batch with overlapping clusters: err = %v, want user 1 listed twice", err)
 	}
 	if r.NumAssigned() != 0 || r.NumClusters() != 0 {
 		t.Error("failed batch must not leave partial state")
 	}
-	_, err = r.AddBatch([][]int32{{0, 1}}, nil)
-	if err == nil || !strings.Contains(err.Error(), "member sets") {
-		t.Errorf("mismatched lengths: %v", err)
+	_, err = r.AddBatch(batch(nil, []int32{0, 1}, []int32{3, 2, 3}))
+	if err == nil || !strings.Contains(err.Error(), "user 3 listed twice") {
+		t.Fatalf("set listing a user twice: err = %v, want user 3 listed twice", err)
 	}
-	cs, err := r.AddBatch([][]int32{{0, 1}, {2, 3, 4}}, []int32{2, 7})
+	if r.NumAssigned() != 0 || r.NumClusters() != 0 {
+		t.Error("failed batch must not leave partial state")
+	}
+	in := batch([]int32{2, 7}, []int32{1, 0}, []int32{2, 3, 4})
+	in[0].ID, in[1].ID = 9, 9
+	cs, err := r.AddBatch(in)
 	if err != nil {
 		t.Fatalf("valid batch: %v", err)
 	}
-	if len(cs) != 2 || cs[1].T != 7 {
-		t.Errorf("batch result = %v", cs)
+	if len(cs) != 2 || cs[0].ID != 0 || cs[1].ID != 1 || cs[1].T != 7 || !slices.Equal(cs[0].Members, []int32{0, 1}) {
+		t.Errorf("batch result = %+v %+v, want ids 0 and 1, sorted members, T 7", cs[0], cs[1])
+	}
+	if cs[0] == in[0] || in[0].ID != 9 || !slices.Equal(in[0].Members, []int32{1, 0}) {
+		t.Errorf("AddBatch wrote into or kept the caller's cluster: %+v", in[0])
 	}
 	if err := r.CheckReciprocity(); err != nil {
 		t.Errorf("CheckReciprocity: %v", err)
@@ -115,7 +137,7 @@ func TestRegistryAddBatchAtomic(t *testing.T) {
 // AddBatch still copies (and sorts) what it is given.
 func TestRegistryAdoptBatch(t *testing.T) {
 	r := NewRegistry(8)
-	if _, err := r.AddBatch([][]int32{{0, 1}}, []int32{1}); err != nil {
+	if _, err := r.AddBatch(batch(nil, []int32{0, 1})); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -125,12 +147,12 @@ func TestRegistryAdoptBatch(t *testing.T) {
 	}{
 		{"unsorted", [][]int32{{2, 3}, {5, 4}}, "not strictly ascending"},
 		{"repeated member", [][]int32{{2, 2}}, "not strictly ascending"},
-		{"across sets", [][]int32{{2, 3}, {3, 4}}, "appears in two batch clusters"},
+		{"across sets", [][]int32{{2, 3}, {3, 4}}, "user 3 listed twice"},
 		{"already assigned", [][]int32{{2, 3}, {1, 4}}, "already in cluster 0"},
 		{"out of range", [][]int32{{2, 3}, {4, 9}}, "out of range"},
 		{"empty", [][]int32{{2, 3}, {}}, "empty cluster"},
 	} {
-		_, err := r.AdoptBatch(tc.sets, make([]int32, len(tc.sets)))
+		_, err := r.AdoptBatch(batch(nil, tc.sets...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
@@ -139,15 +161,19 @@ func TestRegistryAdoptBatch(t *testing.T) {
 		}
 	}
 	adopted := []int32{2, 3, 5}
-	cs, err := r.AdoptBatch([][]int32{adopted, {4, 6}}, []int32{3, 1})
+	in := batch([]int32{3, 1}, adopted, []int32{4, 6})
+	cs, err := r.AdoptBatch(in)
 	if err != nil {
 		t.Fatalf("valid adopt: %v", err)
 	}
 	if &cs[0].Members[0] != &adopted[0] || cs[0].ID != 1 || cs[1].ID != 2 || cs[0].T != 3 {
 		t.Errorf("adopted clusters = %+v %+v, want the caller's slice under ids 1, 2", cs[0], cs[1])
 	}
+	if cs[0] == in[0] || in[0].ID != 0 {
+		t.Errorf("AdoptBatch numbered the caller's cluster instead of its own: %+v", in[0])
+	}
 	given := []int32{7}
-	cs, err = r.AddBatch([][]int32{given}, []int32{0})
+	cs, err = r.AddBatch(batch(nil, given))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,45 +252,21 @@ func (r *distRun) hasValidTCluster(v int32) ([]int32, bool) {
 }
 
 // refineAndRegister is step 3: run the centralized algorithm on the
-// subgraph induced by C, register every resulting cluster, and return the
-// host's.
+// subgraph induced by C, its vertices numbered in discovery order and
+// its rows read through the Recorder once each, register every
+// resulting cluster, and return the host's.
 func (r *distRun) refineAndRegister() (*Cluster, error) {
-	local := make(map[int32]int32, len(r.C)) // global -> local id
+	rows := make([][]wpg.Edge, len(r.C))
 	for i, v := range r.C {
-		local[v] = int32(i)
+		rows[i] = r.rec.Adjacency(v)
 	}
-	var edges []graph.Edge
-	for _, v := range r.C {
-		lv := local[v]
-		for _, e := range r.rec.Adjacency(v) {
-			lu, ok := local[e.To]
-			if !ok || lv >= lu {
-				continue
-			}
-			edges = append(edges, graph.Edge{U: lv, V: lu, W: e.W})
-		}
-	}
-	sub, err := wpg.FromEdges(len(r.C), edges)
-	if err != nil {
-		return nil, fmt.Errorf("core: induced subgraph: %w", err)
-	}
-	clusters, undersized := CentralizedTConn(sub, r.k)
+	clusters, undersized := tconnInduced(r.C, func(i int32) []wpg.Edge { return rows[i] }, r.k, nil)
 	if len(undersized) > 0 {
 		// C is a connected component of size >= k in the induced graph, so
 		// the cut can never produce undersized pieces.
 		return nil, fmt.Errorf("core: internal error: undersized pieces from valid span of %d", len(r.C))
 	}
-	memberSets := make([][]int32, len(clusters))
-	ts := make([]int32, len(clusters))
-	for i, c := range clusters {
-		ms := make([]int32, len(c.Members))
-		for j, lv := range c.Members {
-			ms[j] = r.C[lv]
-		}
-		memberSets[i] = ms
-		ts[i] = c.T
-	}
-	registered, err := r.reg.AddBatch(memberSets, ts)
+	registered, err := r.reg.AddBatch(clusters)
 	if err != nil {
 		return nil, fmt.Errorf("core: register distributed clusters: %w", err)
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 
 	"nonexposure/internal/exposure"
@@ -72,38 +71,4 @@ func RunExposureComparison(p Params, ks []int) (*metrics.Table, error) {
 		t.AddRow(k, tconn.AvgArea, quadArea.Value(), hilbArea.Value())
 	}
 	return t, nil
-}
-
-// ExposurePriceAtDefaults returns the non-exposure/hilbASR area ratio at
-// the default k — a single scalar summarizing what the privacy guarantee
-// costs in region size. Used by tests and the README narrative.
-func ExposurePriceAtDefaults(p Params) (float64, error) {
-	env, err := NewEnv(p)
-	if err != nil {
-		return 0, err
-	}
-	tconn, err := RunClusteringWorkload(env, p.K, p.Requests, AlgoTConnDist)
-	if err != nil {
-		return 0, err
-	}
-	hasr, err := exposure.NewHilbASR(env.Points, p.K, 12)
-	if err != nil {
-		return 0, err
-	}
-	hosts, err := workload.Hosts(env.Graph.NumVertices(), p.Requests, p.Seed+1)
-	if err != nil {
-		return 0, err
-	}
-	var hilbArea metrics.Mean
-	for _, h := range hosts {
-		region, _, err := hasr.Cloak(h)
-		if err != nil {
-			continue
-		}
-		hilbArea.Add(region.Area())
-	}
-	if hilbArea.Value() == 0 {
-		return 0, errors.New("experiment: hilbASR produced empty regions")
-	}
-	return tconn.AvgArea / hilbArea.Value(), nil
 }

@@ -29,13 +29,22 @@ func TestRunExposureComparison(t *testing.T) {
 func TestExposurePriceIsBounded(t *testing.T) {
 	// Non-exposure cloaking cannot beat the coordinate-exposing optimum
 	// by much, nor should it be catastrophically worse: sanity-bound the
-	// price ratio.
-	ratio, err := ExposurePriceAtDefaults(tinyParams())
+	// t-Conn/hilbASR area ratio on the table's default-k row.
+	p := tinyParams()
+	tb, err := RunExposureComparison(p, []int{p.K})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio <= 0 || ratio > 100 {
-		t.Errorf("exposure price ratio = %v, expected a sane positive factor", ratio)
+	var tconn, hilb float64
+	if _, err := fmt.Sscan(tb.Rows[0][1], &tconn); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("non-exposure/hilbASR area ratio at defaults: %.2f", ratio)
+	if _, err := fmt.Sscan(tb.Rows[0][3], &hilb); err != nil {
+		t.Fatal(err)
+	}
+	ratio := tconn / hilb
+	if hilb <= 0 || ratio <= 0 || ratio > 100 {
+		t.Errorf("exposure price ratio = %v (t-Conn %v, hilbASR %v), expected a sane positive factor", ratio, tconn, hilb)
+	}
+	t.Logf("non-exposure/hilbASR area ratio at k=%d: %.2f", p.K, ratio)
 }

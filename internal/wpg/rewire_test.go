@@ -149,61 +149,6 @@ func TestRewireRejectsInvalidRows(t *testing.T) {
 	}
 }
 
-// TestInducedMatchesRelabeledEdges checks Induced against FromEdges
-// over the relabeled member-internal edges, for whole components and
-// for arbitrary member sets (edges leaving the set are dropped).
-func TestInducedMatchesRelabeledEdges(t *testing.T) {
-	for seed := int64(0); seed < 100; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		g := MustFromEdges(n, edgeList(randomEdges(rng, n, rng.Intn(n*(n-1)/4+1))))
-		sets := g.Components()
-		var arbitrary []int32
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				arbitrary = append(arbitrary, int32(v))
-			}
-		}
-		sets = append(sets, arbitrary)
-		for _, members := range sets {
-			local := make(map[int32]int32, len(members))
-			for i, v := range members {
-				local[v] = int32(i)
-			}
-			var edges []graph.Edge
-			for _, e := range g.Edges() {
-				lu, ok1 := local[e.U]
-				lv, ok2 := local[e.V]
-				if ok1 && ok2 {
-					edges = append(edges, graph.Edge{U: lu, V: lv, W: e.W})
-				}
-			}
-			want := MustFromEdges(len(members), edges)
-			got := g.Induced(members)
-			if err := got.Validate(); err != nil {
-				t.Fatalf("seed %d members %v: %v", seed, members, err)
-			}
-			if got.NumEdges() != want.NumEdges() {
-				t.Fatalf("seed %d members %v: %d edges, want %d", seed, members, got.NumEdges(), want.NumEdges())
-			}
-			for v := int32(0); v < int32(len(members)); v++ {
-				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
-					t.Fatalf("seed %d members %v: row %d = %v, want %v", seed, members, v, got.Neighbors(v), want.Neighbors(v))
-				}
-			}
-		}
-	}
-}
-
-func TestInducedPanicsOnUnsortedMembers(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Induced accepted unsorted members")
-		}
-	}()
-	MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}}).Induced([]int32{1, 0})
-}
-
 func TestFromEdgesRowsAreClipped(t *testing.T) {
 	g := MustFromEdges(5, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 1}, {U: 3, V: 1, W: 1}})
 	for v := int32(0); v < 5; v++ {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"nonexposure/internal/geo"
 	"nonexposure/internal/graph"
@@ -124,8 +123,7 @@ func Build(points []geo.Point, p BuildParams) *Graph {
 }
 
 // FromEdges constructs a graph directly from undirected edges; used by
-// tests, by the distributed algorithm's local refinement step, and by
-// the epoch pipeline's from-scratch builds. Edges must have weights >= 1;
+// tests and by the epoch pipeline's from-scratch builds. Edges must have weights >= 1;
 // duplicate pairs are rejected.
 //
 // The rows are cut from one exactly-sized buffer, and duplicates are
@@ -280,50 +278,6 @@ func SharedRow(a, b *Graph, v int32) bool {
 	}
 	return len(ar) == 0 || &ar[0] == &br[0]
 }
-
-// Induced returns the subgraph induced by members, relabeled so that
-// members[i] becomes vertex i. members must be sorted strictly
-// ascending. The relabel is monotone, so each row read off g stays in
-// (W, To) order and nothing is sorted; edges leaving the set are
-// dropped. For a connected component — closed under adjacency — every
-// edge of every member is kept.
-func (g *Graph) Induced(members []int32) *Graph {
-	// local[v] is v's index in members. The scratch is pooled and never
-	// cleared, so a lookup only counts when members[local[v]] == v.
-	lp := localScratch.Get().(*[]int32)
-	defer localScratch.Put(lp)
-	if len(*lp) < len(g.adj) {
-		*lp = make([]int32, len(g.adj))
-	}
-	local := *lp
-	total := 0
-	for i, v := range members {
-		if i > 0 && members[i-1] >= v {
-			panic(fmt.Sprintf("wpg: Induced members not strictly ascending at index %d", i))
-		}
-		local[v] = int32(i)
-		total += len(g.adj[v])
-	}
-	sub := &Graph{adj: make([][]Edge, len(members))}
-	buf := make([]Edge, 0, total)
-	for i, v := range members {
-		start := len(buf)
-		for _, e := range g.adj[v] {
-			if j := local[e.To]; int(j) < len(members) && members[j] == e.To {
-				buf = append(buf, Edge{To: j, W: e.W})
-			}
-		}
-		if len(buf) > start {
-			sub.adj[i] = buf[start:len(buf):len(buf)]
-		}
-	}
-	sub.edges = len(buf) / 2
-	return sub
-}
-
-// localScratch holds the vertex-indexed relabel arrays Induced reuses
-// across calls; concurrent clustering workers each take their own.
-var localScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // Rewire returns the successor of g in which each vertex vs[i] has the
 // complete adjacency row rows[i]: every listed edge is mirrored into

@@ -57,11 +57,14 @@ fi
 # ClusterComponentProfiled(..., nil) and anonymizer.Build), the
 # random-waypoint mobility model and the one-implementation
 # mobility.Model interface, the lazily built anonymizer's constructor,
-# options and Server.Built, workload.HotspotHosts, and the dataset's
-# CSV/gob save/load and Normalize. None may come back.
+# options and Server.Built, workload.HotspotHosts, the dataset's
+# CSV/gob save/load and Normalize, the induced-subgraph copy
+# (Algorithm 1 clusters a vertex list in place), the second exposure
+# measurement ExposurePriceAtDefaults, and cloaksim's -cell driver (a
+# one-point scripts/bench grid runs the same cell). None may come back.
 echo "==> no deleted test-only names"
-if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)' --include='*.go' .; then
-    echo "deleted name found (call ClusterComponentProfiled(..., nil), anonymizer.Build or anonymizer.New, or LocalWander instead)" >&2
+if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)|\.Induced\(|ExposurePriceAtDefaults|runGridCell' --include='*.go' .; then
+    echo "deleted name found (call ClusterComponentProfiled(..., nil), anonymizer.Build or anonymizer.New, LocalWander, RunExposureComparison or scripts/bench run instead)" >&2
     exit 1
 fi
 
@@ -133,6 +136,13 @@ go test -race -count=1 \
     -run='^(TestIncrementalMatchesFullDifferential|TestIncrementalRowsMatchFull|TestPublishedGenerationsStayImmutable)$' \
     ./internal/epoch
 
+# The one relabel, by name and under the race detector: clustering a
+# vertex list in place (components ascending, subsets ascending and
+# shuffled, with and without floors) equals clustering the subgraph it
+# induces, built the old way with a map relabel and FromEdges.
+echo "==> go test -race -run=TestTConnInducedMatchesRelabeledSubgraph (relabel differential)"
+go test -race -count=1 -cpu 1,2 -run='^TestTConnInducedMatchesRelabeledSubgraph$' ./internal/core
+
 # The personalized-profile contract, by name: default profiles are
 # bit-identical to no profiles, heterogeneous floors satisfy max(k_i).
 echo "==> go test -run=TestProfileDifferential (profile equivalence)"
@@ -162,10 +172,11 @@ go test -race -count=1 -run='^TestRehomeMatchesFromScratch$' ./internal/cluster
 # cut off on the wire is delivered once its shard is reachable again
 # and the next rotation serves every user the single-process answer,
 # and a shard revived after a partition keeps no row of a user that
-# homes elsewhere.
-echo "==> go test -race -run=transport-failure and partition-revival tests"
+# homes elsewhere, and on an auto-rotating coordinator a writer parked
+# behind a failing shard starts the rotation that fails it over.
+echo "==> go test -race -run=transport-failure, partition-revival and parked-writer tests"
 go test -race -count=1 -cpu 1,2 \
-    -run='^(TestNoUploadLostAcrossTransportFailure|TestPartitionedShardRevivesClean)$' \
+    -run='^(TestNoUploadLostAcrossTransportFailure|TestPartitionedShardRevivesClean|TestParkedWriterStartsFailover)$' \
     ./internal/cluster
 
 # The rehome benchmark, by name: its from-scratch arm is the baseline
@@ -236,6 +247,15 @@ echo "==> cloaksim -churn smoke"
 churn_out=$(go run ./cmd/cloaksim -churn 2 -n 300 -k 4 -workers 4)
 echo "$churn_out" | grep -q 'unserved=0' \
     || { echo "churn smoke: sweep reported unserved users:" >&2; echo "$churn_out" >&2; exit 1; }
+
+# Fault-injection smoke: seeded scenarios drive the two-phase protocol
+# over the simulated network, and Algorithm 2's step 3 refines each span
+# through the same kernel entry as the centralized builds; every
+# invariant must hold after every scenario.
+echo "==> cloaksim -faults smoke"
+faults_out=$(go run ./cmd/cloaksim -faults 200)
+echo "$faults_out" | grep -q 'all invariants held' \
+    || { echo "faults smoke: invariants violated:" >&2; echo "$faults_out" >&2; exit 1; }
 
 # Load-generator smoke: the Zipf replay against an anonymizer built
 # before the replay; hard cloak failures already exit nonzero on their
