@@ -44,13 +44,14 @@ type Server struct {
 
 // New returns a server for g that serves the given whole-graph
 // clustering at anonymity level k, billing cost to its first served
-// cloak. clusters must be disjoint member sets ordered and numbered
-// exactly as core.CentralizedTConnParallel emits them. The registry
-// adopts each cluster's member slice by reference
-// (core.Registry.AdoptBatch): it must be sorted ascending and never
-// written again, which lets epoch generations share the members of
-// every spliced component. When ctx carries a trace span the
-// installation reports as a "core.register" child.
+// cloak. clusters must be disjoint member sets in the order
+// core.MergeClusters emits them; the registry numbers its own clusters
+// in that order and ignores the given IDs. It adopts each cluster's
+// member slice by reference (core.Registry.AdoptBatch): it must be
+// sorted ascending and never written again, which lets epoch
+// generations share the members of every spliced component. When ctx
+// carries a trace span the installation reports as a "core.register"
+// child.
 func New(ctx context.Context, g *wpg.Graph, k int, clusters []*core.Cluster, cost int) (*Server, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("anonymizer: k must be >= 1, got %d", k)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"nonexposure/internal/epoch"
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/service"
 )
@@ -286,31 +287,19 @@ func (c *Coordinator) standInLocked(o int32) int32 {
 type UploadRequest = service.UploadEntry
 
 // Upload stores the user's ranked peer list and enqueues it for the
-// user's current home shard. Validation is synchronous and applies the
-// shard's own checks, so the shard never rejects a stored upload;
-// delivery is asynchronous — the shard applies the upload when its
-// ordered sender drains the queue, and Rotate flushes every queue
-// before freezing, so a rotation always covers every upload accepted
-// before it. A nil return means "accepted and stored in the
-// coordinator's memory", not "applied by the shard". Blocks (honoring
-// ctx) only when the owning shard's queue is over capacity.
+// user's current home shard. Validation is synchronous and is the
+// shard's own check (epoch.UploadRequest.Validate), so the shard never
+// rejects a stored upload; delivery is asynchronous — the shard
+// applies the upload when its ordered sender drains the queue, and
+// Rotate flushes every queue before freezing, so a rotation always
+// covers every upload accepted before it. A nil return means
+// "accepted and stored in the coordinator's memory", not "applied by
+// the shard". Blocks (honoring ctx) only when the owning shard's queue
+// is over capacity.
 func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 	user, peers, prof := req.User, req.Peers, req.Profile
-	if err := c.validateUser(user); err != nil {
-		return err
-	}
-	for _, pr := range peers {
-		if err := c.validateUser(pr.Peer); err != nil {
-			return fmt.Errorf("cluster: peer: %w", err)
-		}
-		if pr.Rank < 1 {
-			return fmt.Errorf("cluster: rank %d for peer %d must be >= 1", pr.Rank, pr.Peer)
-		}
-	}
-	if prof != nil {
-		if err := prof.Core().Validate(c.numUsers); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
+	if err := (epoch.UploadRequest{User: user, Peers: peers, Profile: prof.Core()}).Validate(c.numUsers); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	stored := append([]service.PeerRank(nil), peers...)
 	var storedProf *service.ProfileSpec
@@ -922,20 +911,6 @@ func (c *Coordinator) policyString() string {
 		return fmt.Sprintf("coordinator|uploads>=%d", c.every)
 	}
 	return "coordinator|manual"
-}
-
-// Ping checks every live shard.
-func (c *Coordinator) Ping(ctx context.Context) error {
-	for i := range c.pools {
-		if c.health[i].isDead() {
-			continue
-		}
-		c.cm.ObserveRouted(string(service.OpPing))
-		if err := c.pools[i].query(func(cl *service.Client) error { return cl.Ping() }); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Close shuts the protocol listener and its client connections (if

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"nonexposure/internal/dataset"
 	"nonexposure/internal/graph"
+	"nonexposure/internal/trace"
 	"nonexposure/internal/wpg"
 )
 
@@ -131,4 +134,98 @@ func TestClusterComponentPanicsOnBadK(t *testing.T) {
 		}
 	}()
 	ClusterComponentProfiled(fig6Graph(), []int32{0}, 0, nil)
+}
+
+// TestClusterComponentsAndMerge: the component pool fills exactly the
+// entries it is given, each with ClusterComponentProfiled's answer for
+// that component, and reports each as a core.component/<i> span when
+// ctx carries one. Over every component, MergeClusters reproduces the
+// whole-graph clusters in emission order and the undersized groups
+// come out in component order, with and without floors.
+func TestClusterComponentsAndMerge(t *testing.T) {
+	g := multiComponentGraph(t, 900, 5)
+	members := g.Components()
+	floors := make([]int32, g.NumVertices())
+	for v := range floors {
+		if v%5 == 0 {
+			floors[v] = 7
+		}
+	}
+	const k = 4
+	for _, ks := range [][]int32{nil, floors} {
+		for _, workers := range []int{0, 1, 2} {
+			comps := make([]Component, len(members))
+			var todo, rest []int
+			for i, ms := range members {
+				comps[i].Members = ms
+				if i%3 == 1 {
+					rest = append(rest, i)
+				} else {
+					todo = append(todo, i)
+				}
+			}
+			root := trace.New("test")
+			ClusterComponents(trace.NewContext(context.Background(), root), g, comps, todo, k, ks, workers)
+			root.End()
+			spans := map[string]bool{}
+			for _, sp := range root.Children() {
+				spans[sp.Name()] = true
+			}
+			if len(spans) != len(todo) {
+				t.Errorf("floors=%v workers=%d: %d component spans for %d components", ks != nil, workers, len(spans), len(todo))
+			}
+			for _, i := range todo {
+				if !spans[fmt.Sprintf("core.component/%d", i)] {
+					t.Errorf("floors=%v workers=%d: no span for component %d", ks != nil, workers, i)
+				}
+				wantC, wantU := ClusterComponentProfiled(g, comps[i].Members, k, ks)
+				if !reflect.DeepEqual(comps[i].Clusters, wantC) || !reflect.DeepEqual(comps[i].Undersized, wantU) {
+					t.Errorf("floors=%v workers=%d: component %d differs from ClusterComponentProfiled", ks != nil, workers, i)
+				}
+			}
+			for _, i := range rest {
+				if comps[i].Clusters != nil || comps[i].Undersized != nil {
+					t.Errorf("floors=%v workers=%d: component %d outside todo was filled", ks != nil, workers, i)
+				}
+			}
+
+			ClusterComponents(context.Background(), g, comps, rest, k, ks, workers)
+			gotC := MergeClusters(comps)
+			wantC, wantU := CentralizedTConnProfiled(g, k, ks)
+			if !reflect.DeepEqual(gotC, wantC) {
+				t.Errorf("floors=%v workers=%d: merged %d clusters, want %d in emission order",
+					ks != nil, workers, len(gotC), len(wantC))
+			}
+			// Every undersized group is a whole component, so component
+			// order is their emission order.
+			var gotU [][]int32
+			for _, c := range comps {
+				gotU = append(gotU, c.Undersized...)
+			}
+			if len(wantU) == 0 || !reflect.DeepEqual(gotU, wantU) {
+				t.Errorf("floors=%v workers=%d: undersized groups in component order = %v, want %v (non-empty)",
+					ks != nil, workers, gotU, wantU)
+			}
+		}
+	}
+}
+
+func TestClampWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		n, jobs, want int
+	}{
+		{3, 10, 3},
+		{10, 3, 3},
+		{5, 5, 5},
+	} {
+		if got := clampWorkers(tc.n, tc.jobs); got != tc.want {
+			t.Errorf("clampWorkers(%d, %d) = %d, want %d", tc.n, tc.jobs, got, tc.want)
+		}
+	}
+	if got := clampWorkers(0, 100); got < 1 {
+		t.Errorf("clampWorkers(0, 100) = %d, want >= 1 (GOMAXPROCS)", got)
+	}
+	if got := clampWorkers(-3, 2); got < 1 || got > 2 {
+		t.Errorf("n <= 0 must resolve to GOMAXPROCS capped by jobs, got %d", got)
+	}
 }

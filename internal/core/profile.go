@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 )
 
@@ -86,23 +85,4 @@ func (p Profile) String() string {
 		s += fmt.Sprintf("stale<=%v", p.MaxStaleness)
 	}
 	return s
-}
-
-// ClampWorkers is the one place worker-pool sizing is decided: n <= 0
-// selects GOMAXPROCS, and the pool never exceeds the number of jobs
-// (jobs <= 0 leaves the count uncapped). Every fan-out in the codebase
-// (component-parallel clustering, epoch shard rebuilds) routes through
-// it so the "0 means all cores, never more workers than work" contract
-// cannot drift between call sites.
-func ClampWorkers(n, jobs int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if jobs > 0 && n > jobs {
-		n = jobs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

@@ -67,28 +67,6 @@ func TestProfileEffectiveK(t *testing.T) {
 	}
 }
 
-func TestClampWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		n, jobs, want int
-	}{
-		{3, 10, 3},
-		{10, 3, 3},
-		{5, 5, 5},
-		{7, 0, 7},  // jobs unknown: leave uncapped
-		{4, -1, 4}, // negative jobs treated as unknown
-	} {
-		if got := ClampWorkers(tc.n, tc.jobs); got != tc.want {
-			t.Errorf("ClampWorkers(%d, %d) = %d, want %d", tc.n, tc.jobs, got, tc.want)
-		}
-	}
-	if got := ClampWorkers(0, 100); got < 1 {
-		t.Errorf("ClampWorkers(0, 100) = %d, want >= 1 (GOMAXPROCS)", got)
-	}
-	if got := ClampWorkers(-3, 2); got < 1 || got > 2 || ClampWorkers(-3, 0) < 1 {
-		t.Errorf("n <= 0 must resolve to GOMAXPROCS capped by jobs, got %d", got)
-	}
-}
-
 // Uniform profiles must be invisible: nil floors, all-zero floors, and
 // floors at or below k all reproduce CentralizedTConn bit-for-bit.
 func TestProfiledUniformBitIdentical(t *testing.T) {

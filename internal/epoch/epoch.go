@@ -82,8 +82,11 @@ type UploadRequest struct {
 	Profile *core.Profile
 }
 
-// validate rejects requests the pipeline could never honor.
-func (r UploadRequest) validate(numUsers int) error {
+// Validate rejects requests the pipeline could never honor: a user or
+// peer outside [0, numUsers), a rank below 1, or an invalid profile.
+// The cluster coordinator runs it before storing an upload, so a shard
+// never rejects an upload the coordinator accepted.
+func (r UploadRequest) Validate(numUsers int) error {
 	if int(r.User) < 0 || int(r.User) >= numUsers {
 		return fmt.Errorf("epoch: user %d out of range [0,%d)", r.User, numUsers)
 	}
@@ -285,11 +288,15 @@ var (
 	ErrClosed = errors.New("epoch: manager closed")
 )
 
-// Manager runs the pipeline. Safe for concurrent use: uploads and
-// rotates serialize on one lock (a channel semaphore, so waiting
-// honors context cancellation), builds run on a background goroutine
-// draining a serial queue, and Cloak reads the published generation
-// through an atomic pointer without taking any lock.
+// Manager runs the pipeline. Safe for concurrent use: uploads, rotates
+// and the builder's bookkeeping serialize on one mutex, held only for
+// bookkeeping (the longest hold is a trigger's snapshot copy); builds
+// run on a background goroutine draining a serial queue, and Cloak
+// reads the published generation through an atomic pointer without
+// taking any lock. A method given a ctx that is already done fails with
+// ctx.Err() before it locks; a ctx that dies while its caller waits for
+// the mutex does not abort that wait. Sync and RotateAndWait stop
+// waiting for a build when their ctx dies.
 type Manager struct {
 	numUsers int
 	k        int
@@ -299,12 +306,9 @@ type Manager struct {
 	tr       *trace.Recorder
 	areaEst  func(members []int32) (float64, bool)
 
-	// sem is a one-slot semaphore serving as the manager lock; a
-	// channel rather than a sync.Mutex so Upload/Rotate/Sync can honor
-	// context cancellation while waiting for it (lockCtx).
-	sem chan struct{}
+	mu sync.Mutex
 
-	// All fields below are guarded by sem.
+	// All fields below are guarded by mu.
 	uploads map[int32][]RankedPeer
 	// profiles stores only non-default profiles (an upload with the zero
 	// Profile deletes the entry), so len(profiles) is the profiled-user
@@ -325,7 +329,10 @@ type Manager struct {
 	queue        []buildJob
 	building     bool
 	closed       bool
-	idle         chan struct{} // closed while no build is queued or running
+	// latest is the most recently triggered generation (nil before the
+	// first trigger). Builds run in trigger order, so once its done
+	// channel is closed every earlier build has finished too.
+	latest       *Generation
 	transcript   []string
 	builds       uint64
 	swaps        uint64
@@ -339,10 +346,10 @@ type Manager struct {
 	stalenessStop chan struct{}
 
 	// prev carries the last successful build's graph, components, and
-	// per-shard clustering forward for splicing. Owned by the builder:
-	// it is only touched by build(), and successive builder goroutines
-	// are ordered through sem (a builder is only started by a trigger
-	// that observed building == false under the lock).
+	// per-component clustering forward for splicing. Owned by the
+	// builder: it is only touched by build(), and successive builder
+	// goroutines are ordered through mu (a builder is only started by a
+	// trigger that observed building == false under the lock).
 	prev *builderState
 
 	cur atomic.Pointer[Generation]
@@ -359,25 +366,17 @@ type buildJob struct {
 	queuedAt time.Time
 }
 
-// shardResult is one connected component's clustering output, kept in
-// component order so the next build can splice it wholesale.
-type shardResult struct {
-	clusters   []*core.Cluster
-	undersized [][]int32
-}
-
 // builderState is what a successful build leaves behind for the next
 // incremental one: its graph, its components (sorted members, ordered
-// by smallest member), the per-component clustering, and a dense index
-// from each vertex to the smallest member of its component. That key
-// stays valid for every component a later build carries over, so the
-// index is patched only where components were recomputed. None of this
-// lives on the Generation: callers may keep a generation after it stops
+// by smallest member) with their clustering, and a dense index from
+// each vertex to the smallest member of its component. That key stays
+// valid for every component a later build carries over, so the index
+// is patched only where components were recomputed. None of this lives
+// on the Generation: callers may keep a generation after it stops
 // serving, and only the builder needs the carried indices.
 type builderState struct {
 	graph  *wpg.Graph
-	comps  [][]int32
-	shards []shardResult
+	comps  []core.Component
 	compOf []int32
 }
 
@@ -425,11 +424,8 @@ func New(numUsers int, opts ...Option) (*Manager, error) {
 		uploads:     make(map[int32][]RankedPeer),
 		changed:     make(map[int32]struct{}),
 		dirty:       make(map[int32]struct{}),
-		sem:         make(chan struct{}, 1),
-		idle:        make(chan struct{}),
 		lastTrigger: time.Now(),
 	}
-	close(m.idle) // nothing queued or running yet
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -498,22 +494,22 @@ func (m *Manager) stalenessLoop() {
 		<-timer.C
 	}
 	for {
-		m.lock()
+		m.mu.Lock()
 		if m.closed {
-			m.unlock()
+			m.mu.Unlock()
 			return
 		}
 		bound := m.effectiveStaleLocked()
 		if bound == 0 {
 			m.stalenessStop = nil
-			m.unlock()
+			m.mu.Unlock()
 			return
 		}
 		if m.uploadsSince > 0 && time.Since(m.lastTrigger) >= bound {
 			m.triggerLocked(TriggerStale)
 		}
 		stop := m.stalenessStop
-		m.unlock()
+		m.mu.Unlock()
 		interval := bound / 2
 		if interval < time.Millisecond {
 			interval = time.Millisecond
@@ -552,70 +548,26 @@ func (m *Manager) setProfileLocked(user int32, p core.Profile) {
 	}
 }
 
-// lock acquires the manager lock unconditionally.
-func (m *Manager) lock() { m.sem <- struct{}{} }
-
-// lockCtx acquires the manager lock or gives up when ctx dies first. A
-// context that is already dead fails deterministically, even when the
-// lock is free.
-func (m *Manager) lockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case m.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (m *Manager) unlock() { <-m.sem }
-
-// K returns the configured anonymity level.
-func (m *Manager) K() int { return m.k }
-
-// NumUsers returns the population size.
-func (m *Manager) NumUsers() int { return m.numUsers }
-
-// Policy returns the rebuild policy.
-func (m *Manager) Policy() Policy { return m.policy }
-
 // Upload folds one user's ranked peer list and privacy profile into the
 // next epoch's input and fires the rebuild policy if its threshold is
-// reached. A re-upload identical to the user's stored ranking that
-// carries no profile (or restates the stored one) counts toward
-// EveryUploads but not toward ChangedFrac; a profile change alone is a
-// change (the clustering the user needs moved, so the user and both
-// peer lists join the dirty closure). Cancellation is honored while
-// waiting for the manager lock; an accepted upload is never rolled
-// back. Returns ErrClosed after Close.
+// reached. It is a one-entry UploadBatch. A re-upload identical to the
+// user's stored ranking that carries no profile (or restates the stored
+// one) counts toward EveryUploads but not toward ChangedFrac; a profile
+// change alone is a change (the clustering the user needs moved, so the
+// user and both peer lists join the dirty closure). An accepted upload
+// is never rolled back. Returns ErrClosed after Close, before any
+// validation.
 func (m *Manager) Upload(ctx context.Context, req UploadRequest) error {
-	if err := req.validate(m.numUsers); err != nil {
-		return err
-	}
-	cp := append([]RankedPeer(nil), req.Peers...)
-	// Copy the profile too: the caller may reuse the pointed-to value.
-	var prof *core.Profile
-	if req.Profile != nil {
-		v := *req.Profile
-		prof = &v
-	}
-	if err := m.lockCtx(ctx); err != nil {
-		return err
-	}
-	defer m.unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.applyUploadLocked(req.User, cp, prof)
-	return nil
+	_, err := m.UploadBatch(ctx, []UploadRequest{req})
+	return err
 }
 
-// applyUploadLocked folds one validated, already-copied upload into the
-// pending state and evaluates the rebuild policy. Callers hold the
-// manager lock.
-func (m *Manager) applyUploadLocked(user int32, cp []RankedPeer, prof *core.Profile) {
+// applyUploadLocked folds one validated upload into the pending state,
+// keeping its own copy of the peer list and profile, and evaluates the
+// rebuild policy. Callers hold the manager lock.
+func (m *Manager) applyUploadLocked(req UploadRequest) {
+	user, prof := req.User, req.Profile
+	cp := append([]RankedPeer(nil), req.Peers...)
 	if prevList := m.uploads[user]; !equalRanks(prevList, cp) ||
 		(prof != nil && m.profileOfLocked(user) != *prof) {
 		m.changed[user] = struct{}{}
@@ -650,26 +602,22 @@ func (m *Manager) applyUploadLocked(user int32, cp []RankedPeer, prof *core.Prof
 // rebuild policy is evaluated after every entry, so a mid-batch trigger
 // snapshots exactly the prefix a serial caller would have triggered
 // on — but the manager lock is taken once for the whole batch instead
-// of once per upload.
+// of once per upload. A closed manager returns ErrClosed before looking
+// at any entry.
 func (m *Manager) UploadBatch(ctx context.Context, reqs []UploadRequest) (int, error) {
-	if err := m.lockCtx(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	defer m.unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return 0, ErrClosed
 	}
 	for i, req := range reqs {
-		if err := req.validate(m.numUsers); err != nil {
+		if err := req.Validate(m.numUsers); err != nil {
 			return i, err
 		}
-		cp := append([]RankedPeer(nil), req.Peers...)
-		var prof *core.Profile
-		if req.Profile != nil {
-			v := *req.Profile
-			prof = &v
-		}
-		m.applyUploadLocked(req.User, cp, prof)
+		m.applyUploadLocked(req)
 	}
 	return len(reqs), nil
 }
@@ -716,9 +664,7 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 	m.changed = make(map[int32]struct{})
 	m.dirty = make(map[int32]struct{})
 	m.lastTrigger = time.Now()
-	if !m.building {
-		m.idle = make(chan struct{}) // leaving the idle state
-	}
+	m.latest = gen
 	m.queue = append(m.queue, job)
 	m.em.SetPending(len(m.queue))
 	if !m.building {
@@ -733,8 +679,7 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 // (use Sync to wait for publication). Rotating when nothing changed
 // since the previous trigger returns ErrNoNewUploads — except for the
 // very first epoch, which may legitimately be empty (a freeze before
-// any upload). Cancellation is honored while waiting for the manager
-// lock.
+// any upload).
 func (m *Manager) Rotate(ctx context.Context) (uint64, error) {
 	gen, err := m.rotate(ctx)
 	if err != nil {
@@ -773,10 +718,11 @@ func (m *Manager) RotateAndWait(ctx context.Context) (*Generation, error) {
 }
 
 func (m *Manager) rotate(ctx context.Context) (*Generation, error) {
-	if err := m.lockCtx(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	defer m.unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -795,21 +741,18 @@ func (m *Manager) rotate(ctx context.Context) (*Generation, error) {
 func (m *Manager) builderLoop() {
 	var built *Generation
 	for {
-		m.lock()
+		m.mu.Lock()
 		idle := len(m.queue) == 0 || m.closed
 		var job buildJob
 		if idle {
 			m.building = false
 			m.em.SetPending(0)
-			if !m.closed {
-				close(m.idle) // Close already closed it when shutting down mid-build
-			}
 		} else {
 			job = m.queue[0]
 			m.queue = m.queue[1:]
 			m.em.SetPending(len(m.queue) + 1) // the job itself still counts
 		}
-		m.unlock()
+		m.mu.Unlock()
 		if built != nil {
 			close(built.done)
 		}
@@ -897,7 +840,7 @@ func (m *Manager) build(job buildJob) {
 	m.em.ObserveBuild(gen.BuildDuration, err == nil)
 
 	psp := root.Child(metrics.StagePublish)
-	m.lock()
+	m.mu.Lock()
 	m.builds++
 	m.lastBuildDur = gen.BuildDuration
 	m.transcript = append(m.transcript, gen.transcriptLine())
@@ -908,7 +851,7 @@ func (m *Manager) build(job buildJob) {
 		m.swaps++
 		m.cur.Store(gen)
 	}
-	m.unlock()
+	m.mu.Unlock()
 	if err == nil {
 		m.em.ObserveSwap()
 	}
@@ -968,74 +911,40 @@ type shardBuild struct {
 	state    *builderState
 }
 
-// clusterShards clusters the graph component by component, reusing
-// every component that provably did not change since the previous
-// build (identical membership, no cluster-dirty vertex, identical
-// induced subgraph) and fanning the rest out across the worker pool
-// with a per-shard span each. The merged result is ordered and
-// numbered exactly as core.CentralizedTConnParallel emits it, so the
-// output is bit-identical to a from-scratch clustering. replaced lists
-// the vertices whose rows g does not share with prev's graph.
+// clusterShards clusters the graph component by component: every
+// component that provably did not change since the previous build
+// (identical membership, no cluster-dirty vertex, identical induced
+// subgraph) keeps its clustering, core.ClusterComponents re-clusters
+// the rest, and core.MergeClusters orders and numbers the result
+// exactly as core.CentralizedTConnParallel emits it, so the output is
+// bit-identical to a from-scratch clustering. replaced lists the
+// vertices whose rows g does not share with prev's graph.
 func (m *Manager) clusterShards(ctx context.Context, g *wpg.Graph, prev *builderState, replaced []int32, dirty map[int32]struct{}, ks []int32) *shardBuild {
-	sp := trace.FromContext(ctx).Child("core.cluster")
+	cctx, sp := trace.StartChild(ctx, "core.cluster")
 	defer sp.End()
 	var st *builderState
 	var rebuild []int
 	if prev != nil {
 		st, rebuild = carryComponents(prev, g, replaced, dirty)
 	} else {
-		comps := g.Components()
-		st = &builderState{graph: g, comps: comps, shards: make([]shardResult, len(comps))}
-		rebuild = make([]int, len(comps))
-		for i := range rebuild {
+		members := g.Components()
+		st = &builderState{graph: g, comps: make([]core.Component, len(members)), compOf: make([]int32, g.NumVertices())}
+		rebuild = make([]int, len(members))
+		for i, ms := range members {
+			st.comps[i].Members = ms
 			rebuild[i] = i
-		}
-		st.compOf = make([]int32, g.NumVertices())
-		for _, members := range comps {
-			for _, v := range members {
-				st.compOf[v] = members[0]
+			for _, v := range ms {
+				st.compOf[v] = ms[0]
 			}
 		}
 	}
-	comps, shards := st.comps, st.shards
-
-	if len(rebuild) > 0 {
-		workers := core.ClampWorkers(m.workers, len(rebuild))
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					ssp := sp.Child(fmt.Sprintf("epoch.build.shard/%d", i))
-					shards[i].clusters, shards[i].undersized = core.ClusterComponentProfiled(g, comps[i], m.k, ks)
-					ssp.End()
-				}
-			}()
-		}
-		for _, i := range rebuild {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	out := &shardBuild{total: len(comps), rebuilt: len(rebuild)}
-	for _, sh := range shards {
-		out.clusters = append(out.clusters, sh.clusters...)
-		for _, u := range sh.undersized {
+	core.ClusterComponents(cctx, g, st.comps, rebuild, m.k, ks, m.workers)
+	out := &shardBuild{clusters: core.MergeClusters(st.comps), total: len(st.comps), rebuilt: len(rebuild), state: st}
+	for _, c := range st.comps {
+		for _, u := range c.Undersized {
 			out.skipped += len(u)
 		}
 	}
-	// Components are ordered by smallest member but their vertex ranges
-	// interleave, so restore the serial scan's global emission order —
-	// ascending smallest cluster member — across shards. Cluster member
-	// sets are disjoint, so Members[0] is a strict total order.
-	slices.SortFunc(out.clusters, func(a, b *core.Cluster) int {
-		return cmp.Compare(a.Members[0], b.Members[0])
-	})
-	out.state = st
 	return out
 }
 
@@ -1069,11 +978,11 @@ func carryComponents(prev *builderState, g *wpg.Graph, replaced []int32, dirty m
 
 	visited := make([]bool, n)
 	var fresh [][]int32
-	for _, members := range prev.comps {
-		if !broken[members[0]] {
+	for _, c := range prev.comps {
+		if !broken[c.Members[0]] {
 			continue
 		}
-		for _, s := range members {
+		for _, s := range c.Members {
 			if visited[s] {
 				continue
 			}
@@ -1096,34 +1005,32 @@ func carryComponents(prev *builderState, g *wpg.Graph, replaced []int32, dirty m
 	// Merge the carried components with the fresh ones, both ordered by
 	// smallest member.
 	total := len(prev.comps) + len(fresh)
-	for _, members := range prev.comps {
-		if broken[members[0]] {
+	for _, c := range prev.comps {
+		if broken[c.Members[0]] {
 			total--
 		}
 	}
-	st := &builderState{graph: g, comps: make([][]int32, 0, total), shards: make([]shardResult, 0, total), compOf: compOf}
+	st := &builderState{graph: g, comps: make([]core.Component, 0, total), compOf: compOf}
 	carry := func(i int) {
-		members := prev.comps[i]
-		if broken[members[0]] {
+		c := prev.comps[i]
+		if broken[c.Members[0]] {
 			return
 		}
-		for _, v := range members {
+		for _, v := range c.Members {
 			if !wpg.SharedRow(prev.graph, g, v) {
-				panic(fmt.Sprintf("epoch: carried component %d: row of %d not shared with the previous graph", members[0], v))
+				panic(fmt.Sprintf("epoch: carried component %d: row of %d not shared with the previous graph", c.Members[0], v))
 			}
 		}
-		st.comps = append(st.comps, members)
-		st.shards = append(st.shards, prev.shards[i])
+		st.comps = append(st.comps, c)
 	}
 	rebuild := make([]int, 0, len(fresh))
 	i := 0
 	for _, members := range fresh {
-		for ; i < len(prev.comps) && prev.comps[i][0] < members[0]; i++ {
+		for ; i < len(prev.comps) && prev.comps[i].Members[0] < members[0]; i++ {
 			carry(i)
 		}
 		rebuild = append(rebuild, len(st.comps))
-		st.comps = append(st.comps, members)
-		st.shards = append(st.shards, shardResult{})
+		st.comps = append(st.comps, core.Component{Members: members})
 	}
 	for ; i < len(prev.comps); i++ {
 		carry(i)
@@ -1177,34 +1084,37 @@ func (m *Manager) Cloak(ctx context.Context, host int32) (CloakResult, error) {
 // publish).
 func (m *Manager) Current() *Generation { return m.cur.Load() }
 
-// Sync blocks until every epoch triggered so far has been built and
-// published (or ctx dies). A freeze-style caller rotates and then syncs
-// so the reply only goes out once cloaking is live.
+// Sync blocks until every epoch triggered before the call has finished
+// building — published, failed, or dropped by Close — or ctx dies. It
+// waits for the latest of them only: builds run in trigger order, so
+// the others have finished by then. Epochs triggered while Sync waits
+// are not waited for. A freeze-style caller rotates and then syncs so
+// the reply only goes out once cloaking is live.
 func (m *Manager) Sync(ctx context.Context) error {
-	for {
-		if err := m.lockCtx(ctx); err != nil {
-			return err
-		}
-		if m.closed || (len(m.queue) == 0 && !m.building) {
-			m.unlock()
-			return nil
-		}
-		wait := m.idle
-		m.unlock()
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	gen := m.latest
+	m.mu.Unlock()
+	if gen == nil {
+		return nil
+	}
+	select {
+	case <-gen.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
 // Close stops accepting uploads and rotates and drops any queued (not
-// yet started) builds. An in-flight build finishes and publishes.
+// yet started) builds, releasing their waiters. An in-flight build
+// finishes and publishes, and its waiters are released then.
 // Idempotent.
 func (m *Manager) Close() {
-	m.lock()
-	defer m.unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
@@ -1217,18 +1127,13 @@ func (m *Manager) Close() {
 		close(job.gen.done)
 	}
 	m.queue = nil
-	if m.building {
-		// Wake Sync waiters now rather than after the in-flight build;
-		// builderLoop sees closed and skips its own close.
-		close(m.idle)
-	}
 }
 
 // Transcript returns the deterministic epoch transcript: one line per
 // completed build, in epoch order. Call Sync first for a complete view.
 func (m *Manager) Transcript() []string {
-	m.lock()
-	defer m.unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return append([]string(nil), m.transcript...)
 }
 
@@ -1268,8 +1173,8 @@ type Status struct {
 
 // Status captures the pipeline state.
 func (m *Manager) Status() Status {
-	m.lock()
-	defer m.unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	gen := m.cur.Load() // under the lock, where build publishes and counts together
 	st := Status{
 		Users:               m.numUsers,

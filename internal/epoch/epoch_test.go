@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"nonexposure/internal/core"
 	"nonexposure/internal/metrics"
 )
 
@@ -346,29 +347,138 @@ func TestSyncHonorsContext(t *testing.T) {
 	if err := m.Sync(bg); err != nil {
 		t.Errorf("idle sync = %v, want nil", err)
 	}
-	// With pending work and a dead ctx it must return ctx.Err(); fake an
-	// in-flight build (queue entry + open idle channel, as triggerLocked
-	// would leave them) without starting a builder to drain it.
-	m.lock()
-	m.queue = append(m.queue, buildJob{})
-	m.building = true
-	m.idle = make(chan struct{})
-	m.unlock()
+	// With a build pending, a dead ctx still returns ctx.Err(), and a
+	// ctx that dies while Sync waits ends the wait. Fake a triggered
+	// generation whose build never finishes (its done channel open, as
+	// triggerLocked leaves it) without starting a builder.
+	pending := &Generation{Epoch: 1, done: make(chan struct{})}
+	m.mu.Lock()
+	m.latest = pending
+	m.mu.Unlock()
 	if err := m.Sync(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("sync with dead ctx and pending work = %v", err)
 	}
-	// A dead ctx must also fail Upload/Rotate at the lock acquire.
+	short, stop := context.WithTimeout(bg, 10*time.Millisecond)
+	defer stop()
+	if err := m.Sync(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("sync past its deadline with pending work = %v, want context.DeadlineExceeded", err)
+	}
+	// A dead ctx must also fail Upload/Rotate before the lock.
 	if err := m.Upload(ctx, UploadRequest{User: 0, Peers: nil}); !errors.Is(err, context.Canceled) {
 		t.Errorf("upload with dead ctx = %v, want context.Canceled", err)
 	}
 	if _, err := m.Rotate(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("rotate with dead ctx = %v, want context.Canceled", err)
 	}
-	m.lock()
-	m.queue = nil
-	m.building = false
-	close(m.idle)
-	m.unlock()
+	close(pending.done)
+	if err := m.Sync(bg); err != nil {
+		t.Errorf("sync once the pending build finished = %v, want nil", err)
+	}
+}
+
+// TestSyncWaitsBehindQueuedBuilds: one upload loop fires the count
+// policy twice, so the second epoch queues behind the first, and Sync
+// returns only once the second has published and nothing is pending.
+func TestSyncWaitsBehindQueuedBuilds(t *testing.T) {
+	const n = 2000
+	m, err := New(n, WithK(5), WithPolicy(Policy{EveryUploads: n}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ring := ringUploads(n)
+	for round := 0; round < 2; round++ {
+		for u := int32(0); u < n; u++ {
+			if err := m.Upload(bg, UploadRequest{User: u, Peers: ring[u]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Status(); st.Epoch != 2 || st.Pending != 0 || st.Builds != 2 {
+		t.Fatalf("status after Sync = epoch %d pending %d builds %d, want epoch 2 pending 0 builds 2",
+			st.Epoch, st.Pending, st.Builds)
+	}
+}
+
+// TestCloseReleasesParkedSync: a Sync parked behind a queued build is
+// released when Close drops that build, while the build in flight is
+// still running; a Sync parked on the in-flight build returns once
+// that build has finished and counted. The area estimator holds the
+// first build in flight.
+func TestCloseReleasesParkedSync(t *testing.T) {
+	const n = 12
+	ring := ringUploads(n)
+	prof := &core.Profile{MaxArea: 10} // non-default, so the build calls the estimator
+	start := func(t *testing.T) (*Manager, chan struct{}) {
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		est := func([]int32) (float64, bool) {
+			once.Do(func() { close(entered) })
+			<-release
+			return 1, true
+		}
+		m, err := New(n, WithK(2), WithAreaEstimator(est))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := int32(0); u < n; u++ {
+			if err := m.Upload(bg, UploadRequest{User: u, Peers: ring[u], Profile: prof}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Rotate(bg); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		return m, release
+	}
+	type result struct {
+		err    error
+		builds uint64
+	}
+	park := func(m *Manager) chan result {
+		out := make(chan result, 1)
+		go func() {
+			err := m.Sync(bg)
+			out <- result{err, m.Status().Builds}
+		}()
+		return out
+	}
+
+	t.Run("queued", func(t *testing.T) {
+		m, release := start(t)
+		defer close(release)
+		if err := m.Upload(bg, UploadRequest{User: 0, Peers: ring[1]}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Rotate(bg); err != nil {
+			t.Fatal(err)
+		}
+		parked := park(m) // behind epoch 2, queued behind the held epoch 1
+		m.Close()
+		select {
+		case r := <-parked:
+			if r.err != nil || r.builds != 0 {
+				t.Errorf("Sync released by Close = %v with %d builds done, want nil with the held build still running", r.err, r.builds)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not release a Sync parked behind the build it dropped")
+		}
+	})
+
+	t.Run("in-flight", func(t *testing.T) {
+		m, release := start(t)
+		parked := park(m) // on epoch 1, held in flight
+		m.Close()
+		close(release)
+		r := <-parked
+		if r.err != nil || r.builds != 1 {
+			t.Errorf("Sync on the in-flight build = %v with %d builds done, want nil once it has finished", r.err, r.builds)
+		}
+	})
 }
 
 // scripted is a deterministic upload script: a fixed sequence of

@@ -52,9 +52,9 @@ func TestProfileStalenessEnforced(t *testing.T) {
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		m.lock()
+		m.mu.Lock()
 		stopped := m.stalenessStop == nil
-		m.unlock()
+		m.mu.Unlock()
 		if stopped {
 			break
 		}

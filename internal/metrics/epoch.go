@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,29 +12,14 @@ import (
 // manager reports one ObserveStage per stage per build; exporters and
 // the churn report render them in this order.
 const (
-	StageQueue    = "queue"    // trigger -> build start (queue wait)
-	StageWPG      = "wpg"      // proximity-graph construction
-	StageCluster  = "cluster"  // t-connectivity clustering + registration
-	StagePublish  = "publish"  // generation swap (atomic publish)
-	StageOverhead = "overhead" // anything not covered by a named stage
+	StageQueue   = "queue"   // trigger -> build start (queue wait)
+	StageWPG     = "wpg"     // proximity-graph construction
+	StageCluster = "cluster" // t-connectivity clustering + registration
+	StagePublish = "publish" // generation swap (atomic publish)
 )
 
-// stageRank orders known stages ahead of any custom ones.
-func stageRank(stage string) int {
-	switch stage {
-	case StageQueue:
-		return 0
-	case StageWPG:
-		return 1
-	case StageCluster:
-		return 2
-	case StagePublish:
-		return 3
-	case StageOverhead:
-		return 4
-	}
-	return 5
-}
+// stageNames lists the build stages in pipeline order.
+var stageNames = [...]string{StageQueue, StageWPG, StageCluster, StagePublish}
 
 // EpochMetrics tracks the health of the live re-clustering pipeline:
 // how many rebuilds ran (and failed), how long they took, how many
@@ -59,7 +44,7 @@ type EpochMetrics struct {
 	degraded atomic.Int64
 
 	stageMu sync.Mutex
-	stages  map[string]*stageAgg
+	stages  [len(stageNames)]stageAgg
 }
 
 // stageAgg accumulates one build stage's timing. Guarded by stageMu —
@@ -86,25 +71,23 @@ func (m *EpochMetrics) ObserveBuild(d time.Duration, ok bool) {
 	m.buildDur.Observe(d)
 }
 
-// ObserveStage folds in the duration of one named build stage (see the
-// Stage* constants). Safe on a nil receiver.
+// ObserveStage folds in the duration of one build stage, named by one
+// of the Stage* constants; any other name is a bug and panics. Safe on
+// a nil receiver.
 func (m *EpochMetrics) ObserveStage(stage string, d time.Duration) {
 	if m == nil {
 		return
+	}
+	i := slices.Index(stageNames[:], stage)
+	if i < 0 {
+		panic(fmt.Sprintf("metrics: unknown build stage %q", stage))
 	}
 	ns := d.Nanoseconds()
 	if ns < 0 {
 		ns = 0
 	}
 	m.stageMu.Lock()
-	if m.stages == nil {
-		m.stages = make(map[string]*stageAgg)
-	}
-	agg := m.stages[stage]
-	if agg == nil {
-		agg = &stageAgg{}
-		m.stages[stage] = agg
-	}
+	agg := &m.stages[i]
 	agg.count++
 	agg.sumNs += ns
 	if ns > agg.maxNs {
@@ -204,7 +187,8 @@ type EpochSnapshot struct {
 	// BuildHist is the raw rebuild-duration histogram for exporters.
 	BuildHist HistogramSnapshot
 	// BuildStages breaks rebuild time down per stage, in pipeline order
-	// (queue wait, WPG construction, clustering, publish).
+	// (queue wait, WPG construction, clustering, publish); a stage never
+	// observed is left out.
 	BuildStages []StageSnapshot
 }
 
@@ -230,26 +214,19 @@ func (m *EpochMetrics) Snapshot() EpochSnapshot {
 		BuildHist:     hist,
 	}
 	m.stageMu.Lock()
-	for stage, agg := range m.stages {
-		ss := StageSnapshot{
-			Stage: stage,
+	for i, agg := range m.stages {
+		if agg.count == 0 {
+			continue
+		}
+		s.BuildStages = append(s.BuildStages, StageSnapshot{
+			Stage: stageNames[i],
 			Count: agg.count,
+			Mean:  time.Duration(agg.sumNs / int64(agg.count)),
 			Max:   time.Duration(agg.maxNs),
 			Total: time.Duration(agg.sumNs),
-		}
-		if agg.count > 0 {
-			ss.Mean = time.Duration(agg.sumNs / int64(agg.count))
-		}
-		s.BuildStages = append(s.BuildStages, ss)
+		})
 	}
 	m.stageMu.Unlock()
-	sort.Slice(s.BuildStages, func(i, j int) bool {
-		ri, rj := stageRank(s.BuildStages[i].Stage), stageRank(s.BuildStages[j].Stage)
-		if ri != rj {
-			return ri < rj
-		}
-		return s.BuildStages[i].Stage < s.BuildStages[j].Stage
-	})
 	return s
 }
 

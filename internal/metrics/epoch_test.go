@@ -39,18 +39,21 @@ func TestEpochMetricsBuildStages(t *testing.T) {
 	// Observed out of pipeline order on purpose: the snapshot must
 	// restore queue -> wpg -> cluster -> publish.
 	m.ObserveStage(StagePublish, time.Millisecond)
+	if s := m.Snapshot(); len(s.BuildStages) != 1 || s.BuildStages[0].Stage != StagePublish {
+		t.Fatalf("BuildStages after one publish = %+v, want the observed stage only", s.BuildStages)
+	}
 	m.ObserveStage(StageCluster, 40*time.Millisecond)
 	m.ObserveStage(StageCluster, 20*time.Millisecond)
 	m.ObserveStage(StageWPG, 10*time.Millisecond)
 	m.ObserveStage(StageQueue, 2*time.Millisecond)
-	m.ObserveStage("custom", -time.Second) // negative clamps to 0
+	m.ObserveStage(StageQueue, -time.Second) // negative clamps to 0
 
 	s := m.Snapshot()
 	var order []string
 	for _, st := range s.BuildStages {
 		order = append(order, st.Stage)
 	}
-	want := []string{StageQueue, StageWPG, StageCluster, StagePublish, "custom"}
+	want := []string{StageQueue, StageWPG, StageCluster, StagePublish}
 	if len(order) != len(want) {
 		t.Fatalf("stages = %v, want %v", order, want)
 	}
@@ -63,12 +66,18 @@ func TestEpochMetricsBuildStages(t *testing.T) {
 	if cl.Count != 2 || cl.Mean != 30*time.Millisecond || cl.Max != 40*time.Millisecond || cl.Total != 60*time.Millisecond {
 		t.Errorf("cluster stage = %+v", cl)
 	}
-	if custom := s.BuildStages[4]; custom.Total != 0 || custom.Count != 1 {
-		t.Errorf("negative duration should clamp to 0: %+v", custom)
+	if q := s.BuildStages[0]; q.Count != 2 || q.Total != 2*time.Millisecond || q.Max != 2*time.Millisecond {
+		t.Errorf("negative duration should clamp to 0: %+v", q)
 	}
 	if got := s.String(); !strings.Contains(got, "cluster=30ms/40ms") || !strings.Contains(got, "wpg=10ms/10ms") {
 		t.Errorf("String() = %q missing stage clauses", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown stage name was accepted")
+		}
+	}()
+	m.ObserveStage("custom", time.Second)
 }
 
 // TestEpochMetricsNilReceiver: every method must be a no-op on nil so

@@ -69,8 +69,8 @@ func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
 // the options the server derives from its own configuration (k,
 // workers, metrics, tracing), so an explicit epoch option always wins.
 // This is the one extension point for pipeline knobs — rebuild policy,
-// incremental mode, ingest buffers, area estimator — so new epoch
-// options never need a mirrored service option.
+// area estimator — so new epoch options never need a mirrored service
+// option.
 func WithEpochOptions(opts ...epoch.Option) Option {
 	return func(s *Server) { s.epochOpts = append(s.epochOpts, opts...) }
 }

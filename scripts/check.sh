@@ -60,11 +60,16 @@ fi
 # options and Server.Built, workload.HotspotHosts, the dataset's
 # CSV/gob save/load and Normalize, the induced-subgraph copy
 # (Algorithm 1 clusters a vertex list in place), the second exposure
-# measurement ExposurePriceAtDefaults, and cloaksim's -cell driver (a
-# one-point scripts/bench grid runs the same cell). None may come back.
+# measurement ExposurePriceAtDefaults, cloaksim's -cell mode (a
+# one-point scripts/bench grid runs the same cell), the exported
+# worker-pool sizing core.ClampWorkers (core.ClusterComponents is the
+# one component pool; its unexported clampWorkers stays), the epoch
+# build's per-shard spans (core.component/<i> now), the never-observed
+# StageOverhead, and Coordinator.Ping (the ping op and the client keep
+# the name). None may come back.
 echo "==> no deleted test-only names"
-if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)|\.Induced\(|ExposurePriceAtDefaults|runGridCell' --include='*.go' .; then
-    echo "deleted name found (call ClusterComponentProfiled(..., nil), anonymizer.Build or anonymizer.New, LocalWander, RunExposureComparison or scripts/bench run instead)" >&2
+if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)|\.Induced\(|ExposurePriceAtDefaults|runGridCell|core\.ClampWorkers|func ClampWorkers\(|StageOverhead|epoch\.build\.shard|func \(c \*Coordinator\) Ping' --include='*.go' .; then
+    echo "deleted name found (call ClusterComponentProfiled(..., nil), core.ClusterComponents, anonymizer.Build or anonymizer.New, LocalWander, RunExposureComparison or scripts/bench run instead)" >&2
     exit 1
 fi
 
@@ -142,6 +147,26 @@ go test -race -count=1 \
 # induces, built the old way with a map relabel and FromEdges.
 echo "==> go test -race -run=TestTConnInducedMatchesRelabeledSubgraph (relabel differential)"
 go test -race -count=1 -cpu 1,2 -run='^TestTConnInducedMatchesRelabeledSubgraph$' ./internal/core
+
+# The component fan-out, by name and under the race detector: the one
+# worker pool fills exactly the components it is given, each as
+# ClusterComponentProfiled does, and MergeClusters over every component
+# equals the whole-graph clustering in emission order, with and without
+# floors.
+echo "==> go test -race -run=TestClusterComponentsAndMerge (component fan-out)"
+go test -race -count=1 -cpu 1,2 -run='^TestClusterComponentsAndMerge$' ./internal/core
+
+# The manager's lifecycle, by name and under the race detector: a dead
+# or expiring ctx ends Sync's wait, Sync waits for the latest epoch
+# triggered before it (two queued builds included), Close releases a
+# Sync parked on a build it dropped and an in-flight build releases
+# its own when it finishes, a synchronous rotation leaves nothing
+# pending, Status pairs each epoch with its counts, and uploads and
+# cloaks race across swaps.
+echo "==> go test -race -run=Sync and lifecycle tests"
+go test -race -count=1 -cpu 1,2 \
+    -run='^(TestSyncHonorsContext|TestSyncWaitsBehindQueuedBuilds|TestCloseReleasesParkedSync|TestRotateAndWaitLeavesNothingPending|TestConcurrentUploadsAndCloaksAcrossSwaps|TestStatusEpochMatchesCounts)$' \
+    ./internal/epoch
 
 # The personalized-profile contract, by name: default profiles are
 # bit-identical to no profiles, heterogeneous floors satisfy max(k_i).
