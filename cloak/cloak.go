@@ -33,6 +33,7 @@ import (
 	"nonexposure/internal/anonymizer"
 	"nonexposure/internal/core"
 	"nonexposure/internal/geo"
+	"nonexposure/internal/p2p"
 	"nonexposure/internal/rss"
 	"nonexposure/internal/trace"
 	"nonexposure/internal/wpg"
@@ -168,6 +169,7 @@ type System struct {
 	cfg Config
 	pts []geo.Point
 	g   *wpg.Graph
+	net *p2p.Network // set by NewNetworkSystem: both phases run over it
 
 	mu      sync.Mutex
 	reg     *core.Registry
@@ -266,7 +268,7 @@ func (s *System) CloakCtx(ctx context.Context, host int) (Result, error) {
 		res.CachedCluster = cost == 0
 	default:
 		csp := trace.FromContext(ctx).Child("core.cluster")
-		c, stats, err := core.DistributedTConn(core.GraphSource{G: s.g}, int32(host), s.cfg.K, s.reg)
+		c, stats, err := s.distributedTConn(int32(host))
 		csp.End()
 		if err != nil {
 			return Result{}, translateErr(err)
@@ -351,7 +353,25 @@ func (s *System) boundCtx(ctx context.Context, cluster *core.Cluster, host int32
 		return core.RectBoundResult{}, fmt.Errorf("cloak: unknown bounding algorithm %d", s.cfg.Bound)
 	}
 	scale := core.DefaultRectScale(cluster.Size(), len(s.pts))
-	return core.BoundRectCtx(ctx, s.pts, cluster.Members, s.pts[host], scale, pol, s.cfg.Cb)
+	if s.net == nil {
+		return core.BoundRectCtx(ctx, s.pts, cluster.Members, s.pts[host], scale, pol, s.cfg.Cb)
+	}
+	bound, err := s.net.BoundRect(host, cluster.Members, scale, pol, s.cfg.Cb)
+	if err != nil {
+		// Transport degradation: the region may be looser but remains
+		// valid for reachable members; surface the error.
+		return core.RectBoundResult{}, fmt.Errorf("cloak: bounding over network: %w", err)
+	}
+	return bound, nil
+}
+
+// distributedTConn runs phase-1 clustering at the host: over the message
+// network when the system has one, else over the proximity graph.
+func (s *System) distributedTConn(host int32) (*core.Cluster, core.DistStats, error) {
+	if s.net != nil {
+		return s.net.DistributedTConn(host, s.cfg.K, s.reg)
+	}
+	return core.DistributedTConn(core.GraphSource{G: s.g}, host, s.cfg.K, s.reg)
 }
 
 // ClusterOf returns the ids of the users sharing host's cluster, or nil

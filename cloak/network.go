@@ -1,9 +1,9 @@
 package cloak
 
 import (
+	"errors"
 	"fmt"
 
-	"nonexposure/internal/core"
 	"nonexposure/internal/p2p"
 )
 
@@ -23,23 +23,28 @@ type NetworkConfig struct {
 }
 
 // NetworkSystem is a System whose phase-1 and phase-2 protocols run over
-// simulated peer-to-peer messages. Create with NewNetworkSystem and Close
-// when done (it owns one goroutine per user).
+// simulated peer-to-peer messages: its Cloak and CloakCtx are System's,
+// which take both phases from the network. Create with NewNetworkSystem
+// and Close when done (it owns one goroutine per user).
 type NetworkSystem struct {
 	*System
-	net *p2p.Network
 }
 
 // NewNetworkSystem builds a message-passing deployment. Only
 // ModeDistributed is meaningful here (an anonymizer would not use p2p
-// messages), so cfg.Mode is forced to ModeDistributed.
+// messages), so cfg.Mode is forced to ModeDistributed. BoundOptimal is
+// rejected: it needs every member's coordinates, and the network never
+// carries them.
 func NewNetworkSystem(users []Point, cfg Config, ncfg NetworkConfig) (*NetworkSystem, error) {
+	if cfg.Bound == BoundOptimal {
+		return nil, errors.New("cloak: BoundOptimal exposes coordinates, which the message network never carries")
+	}
 	cfg.Mode = ModeDistributed
 	sys, err := NewSystem(users, cfg)
 	if err != nil {
 		return nil, err
 	}
-	net, err := p2p.NewNetwork(sys.g, sys.pts, p2p.Config{
+	sys.net, err = p2p.NewNetwork(sys.g, sys.pts, p2p.Config{
 		LossRate:   ncfg.LossRate,
 		MaxRetries: ncfg.MaxRetries,
 		Seed:       ncfg.Seed,
@@ -47,7 +52,7 @@ func NewNetworkSystem(users []Point, cfg Config, ncfg NetworkConfig) (*NetworkSy
 	if err != nil {
 		return nil, fmt.Errorf("cloak: %w", err)
 	}
-	return &NetworkSystem{System: sys, net: net}, nil
+	return &NetworkSystem{System: sys}, nil
 }
 
 // Close stops the per-device goroutines.
@@ -59,55 +64,3 @@ func (ns *NetworkSystem) MessagesSent() uint64 { return ns.net.Sent() }
 
 // MessagesLost returns how many transmissions the loss injection dropped.
 func (ns *NetworkSystem) MessagesLost() uint64 { return ns.net.Lost() }
-
-// Cloak runs the two-phase protocol for host entirely over the message
-// network.
-func (ns *NetworkSystem) Cloak(host int) (Result, error) {
-	if host < 0 || host >= len(ns.pts) {
-		return Result{}, fmt.Errorf("cloak: no such user %d", host)
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-
-	var res Result
-	cluster, stats, err := ns.net.DistributedTConn(int32(host), ns.cfg.K, ns.reg)
-	if err != nil {
-		return Result{}, translateErr(err)
-	}
-	res.ClusterSize = cluster.Size()
-	res.ClusterComm = stats.Involved
-	res.CachedCluster = stats.Cached
-
-	if entry, ok := ns.regions[cluster.ID]; ok {
-		res.Region = entry.region
-		res.BoundRounds = entry.rounds
-		res.CachedRegion = true
-		return res, nil
-	}
-
-	var pol core.IncrementPolicy
-	switch ns.cfg.Bound {
-	case BoundLinear:
-		pol = core.LinearIncrement{Step: ns.cfg.LinearStep}
-	case BoundExponential:
-		pol = core.ExpIncrement{Init: ns.cfg.ExpInit}
-	default: // secure is the network default; optimal would defeat the point
-		pol = core.NewSecureIncrementForCluster(ns.cfg.Cb, ns.cfg.Cr, cluster.Size())
-	}
-	scale := core.DefaultRectScale(cluster.Size(), len(ns.pts))
-	bound, err := ns.net.BoundRect(int32(host), cluster.Members, scale, pol, ns.cfg.Cb)
-	if err != nil {
-		// Transport degradation: the region may be looser but remains
-		// valid for reachable members; surface the error.
-		return Result{}, fmt.Errorf("cloak: bounding over network: %w", err)
-	}
-	region := ns.cfg.applyGranularity(Region{
-		MinX: bound.Rect.Min.X, MinY: bound.Rect.Min.Y,
-		MaxX: bound.Rect.Max.X, MaxY: bound.Rect.Max.Y,
-	})
-	ns.regions[cluster.ID] = regionEntry{region: region, rounds: bound.Rounds}
-	res.Region = region
-	res.BoundMessages = bound.Messages
-	res.BoundRounds = bound.Rounds
-	return res, nil
-}

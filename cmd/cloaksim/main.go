@@ -166,7 +166,7 @@ func main() {
 	flag.IntVar(&cfg.host, "host", 0, "requesting user id")
 	flag.Int64Var(&cfg.seed, "seed", 42, "random seed")
 	flag.StringVar(&cfg.mode, "mode", "distributed", "clustering mode: distributed|centralized")
-	flag.StringVar(&cfg.bound, "bound", "secure", "bounding: secure|linear|exponential|optimal")
+	flag.StringVar(&cfg.bound, "bound", "secure", "bounding: secure|linear|exponential|optimal (optimal needs coordinates, so not with -network)")
 	flag.Float64Var(&cfg.delta, "delta", 0, "radio range (0 = auto for the population size)")
 	flag.BoolVar(&cfg.network, "network", false, "run the protocols over a simulated p2p message network")
 	flag.Float64Var(&cfg.loss, "loss", 0, "message loss rate for -network")

@@ -91,9 +91,7 @@ func WriteClusterMetrics(w io.Writer, req metrics.RequestSnapshot, cl metrics.Cl
 		fmt.Fprintf(w, "cloakd_cluster_routed_ops_total{op=%q} %d\n", op.Op, op.Count)
 	}
 	writeScalar(w, "cloakd_cluster_border_replays_total", "counter",
-		"Uploads replayed across a shard boundary to keep a WPG component whole.", float64(cl.BorderReplays))
-	writeScalar(w, "cloakd_cluster_reroutes_total", "counter",
-		"Users whose home shard changed at a rotation.", float64(cl.Reroutes))
+		"Users re-homed to another shard at a rotation, fail-over re-homes included.", float64(cl.BorderReplays))
 	writeScalar(w, "cloakd_cluster_rotations_total", "counter",
 		"Completed cluster-wide rotations.", float64(cl.Rotations))
 	fmt.Fprintln(w, "# HELP cloakd_cluster_shard_epoch Last observed published epoch, per shard.")

@@ -27,7 +27,6 @@ func newFakeCoordinator() *fakeCoordinator {
 	f.cm.ObserveRouted("upload")
 	f.cm.ObserveRouted("cloak")
 	f.cm.ObserveBorderReplays(3)
-	f.cm.ObserveReroutes(3)
 	f.cm.ObserveRotation()
 	f.cm.SetShardEpoch(0, 5)
 	f.cm.SetShardEpoch(1, 3)
@@ -99,7 +98,6 @@ func TestWriteClusterMetricsGolden(t *testing.T) {
 		},
 		RoutedTotal:   5,
 		BorderReplays: 2,
-		Reroutes:      2,
 		Rotations:     1,
 		ShardEpochs:   []uint64{4, 3},
 		EpochLag:      []uint64{0, 1},
@@ -134,12 +132,9 @@ cloakd_cluster_shards 2
 # TYPE cloakd_cluster_routed_ops_total counter
 cloakd_cluster_routed_ops_total{op="cloak"} 1
 cloakd_cluster_routed_ops_total{op="upload"} 4
-# HELP cloakd_cluster_border_replays_total Uploads replayed across a shard boundary to keep a WPG component whole.
+# HELP cloakd_cluster_border_replays_total Users re-homed to another shard at a rotation, fail-over re-homes included.
 # TYPE cloakd_cluster_border_replays_total counter
 cloakd_cluster_border_replays_total 2
-# HELP cloakd_cluster_reroutes_total Users whose home shard changed at a rotation.
-# TYPE cloakd_cluster_reroutes_total counter
-cloakd_cluster_reroutes_total 2
 # HELP cloakd_cluster_rotations_total Completed cluster-wide rotations.
 # TYPE cloakd_cluster_rotations_total counter
 cloakd_cluster_rotations_total 1

@@ -504,7 +504,6 @@ func (c *Coordinator) rotate(ctx context.Context) (RotateStats, []*service.Epoch
 	c.mu.Unlock()
 
 	c.cm.ObserveBorderReplays(len(moves))
-	c.cm.ObserveReroutes(len(moves))
 	if enqErr != nil {
 		return RotateStats{}, nil, fmt.Errorf("cluster: rotate: %w", enqErr)
 	}

@@ -157,7 +157,7 @@ type ScalarBoundResult struct {
 // AgreeFunc answers one verification probe: does participant i's private
 // value stay at or below bound? In a deployment this is a network round
 // trip to the participant (internal/p2p provides that); in-process callers
-// use ProgressiveUpperBound, which closes over a slice of offsets.
+// (BoundRectCtx, ProgressiveUpperBound) compare the participant's offset.
 type AgreeFunc func(i int, bound float64) bool
 
 // ProgressiveUpperBoundVotes runs Algorithm 4 for one direction over n
@@ -271,43 +271,53 @@ type RectBoundResult struct {
 	Degraded []int32
 }
 
-// BoundRect obtains the cloaked rectangle of the member locations without
-// exposure: four scalar ProgressiveUpperBound runs (+x, −x, +y, −y)
-// anchored at the host's own location. scale is the per-direction extent
-// estimate U. The paper's experiments set U from the cluster size under
-// the uniform assumption; see DefaultRectScale.
-func BoundRect(points []geo.Point, members []int32, anchor geo.Point, scale float64, pol IncrementPolicy, cb float64) (RectBoundResult, error) {
-	return BoundRectCtx(context.Background(), points, members, anchor, scale, pol, cb)
+// Direction is one of the four scalar bounding runs of a cluster
+// rectangle, numbered in the order BoundRectVotes runs them.
+type Direction uint8
+
+// The four bounding directions.
+const (
+	DirXPlus Direction = iota
+	DirXMinus
+	DirYPlus
+	DirYMinus
+)
+
+// dirSpans names each direction's trace span.
+var dirSpans = [4]string{"bound.+x", "bound.-x", "bound.+y", "bound.-y"}
+
+// Offset is p's private value in direction d: how far p lies beyond
+// anchor along d. A participant agrees with bound X iff Offset <= X.
+func (d Direction) Offset(p, anchor geo.Point) float64 {
+	switch d {
+	case DirXPlus:
+		return p.X - anchor.X
+	case DirXMinus:
+		return anchor.X - p.X
+	case DirYPlus:
+		return p.Y - anchor.Y
+	default:
+		return anchor.Y - p.Y
+	}
 }
 
-// BoundRectCtx is BoundRect with span hooks: when ctx carries a trace
-// span, the whole phase-2 bounding reports as a "core.bound" stage with
-// one child per direction run, so a traced cloak request shows how the
-// four progressive upper-bound protocols split the time. With tracing
-// off the hooks are nil checks.
-func BoundRectCtx(ctx context.Context, points []geo.Point, members []int32, anchor geo.Point, scale float64, pol IncrementPolicy, cb float64) (RectBoundResult, error) {
+// BoundRectVotes bounds a cluster's rectangle without exposure: one
+// ProgressiveUpperBoundVotes run per direction (+x, −x, +y, −y, in that
+// order) over n participants, whose direction-d votes vote(d) supplies,
+// assembled around anchor. It is the one four-direction loop: local
+// offsets, network probes and a recording observer differ only in how
+// they vote. When ctx carries a trace span, the whole bounding reports
+// as a "core.bound" stage with one child per direction run; with
+// tracing off the hooks are nil checks.
+func BoundRectVotes(ctx context.Context, n int, anchor geo.Point, scale float64, pol IncrementPolicy, cb float64, vote func(Direction) AgreeFunc) (RectBoundResult, error) {
 	bsp := trace.FromContext(ctx).Child("core.bound")
 	defer bsp.End()
-	dirNames := [4]string{"bound.+x", "bound.-x", "bound.+y", "bound.-y"}
-	offsets := func(f func(geo.Point) float64) []float64 {
-		out := make([]float64, len(members))
-		for i, m := range members {
-			out[i] = f(points[m])
-		}
-		return out
-	}
-	dirs := [][]float64{
-		offsets(func(p geo.Point) float64 { return p.X - anchor.X }), // +x
-		offsets(func(p geo.Point) float64 { return anchor.X - p.X }), // −x
-		offsets(func(p geo.Point) float64 { return p.Y - anchor.Y }), // +y
-		offsets(func(p geo.Point) float64 { return anchor.Y - p.Y }), // −y
-	}
 	var bounds [4]float64
 	var res RectBoundResult
 	expSum, expN := 0.0, 0
-	for d, offs := range dirs {
-		dsp := bsp.Child(dirNames[d])
-		r, err := ProgressiveUpperBound(offs, scale, pol, cb)
+	for d := DirXPlus; d <= DirYMinus; d++ {
+		dsp := bsp.Child(dirSpans[d])
+		r, err := ProgressiveUpperBoundVotes(n, scale, pol, cb, vote(d))
 		dsp.End()
 		if err != nil {
 			return RectBoundResult{}, fmt.Errorf("core: direction %d: %w", d, err)
@@ -326,10 +336,26 @@ func BoundRectCtx(ctx context.Context, points []geo.Point, members []int32, anch
 		res.MeanExposure = expSum / float64(expN)
 	}
 	res.Rect = geo.Rect{
-		Min: geo.Point{X: anchor.X - bounds[1], Y: anchor.Y - bounds[3]},
-		Max: geo.Point{X: anchor.X + bounds[0], Y: anchor.Y + bounds[2]},
+		Min: geo.Point{X: anchor.X - bounds[DirXMinus], Y: anchor.Y - bounds[DirYMinus]},
+		Max: geo.Point{X: anchor.X + bounds[DirXPlus], Y: anchor.Y + bounds[DirYPlus]},
 	}
 	return res, nil
+}
+
+// BoundRect obtains the cloaked rectangle of the member locations without
+// exposure, anchored at the host's own location: BoundRectVotes with
+// every member voting its own offset. scale is the per-direction extent
+// estimate U. The paper's experiments set U from the cluster size under
+// the uniform assumption; see DefaultRectScale.
+func BoundRect(points []geo.Point, members []int32, anchor geo.Point, scale float64, pol IncrementPolicy, cb float64) (RectBoundResult, error) {
+	return BoundRectCtx(context.Background(), points, members, anchor, scale, pol, cb)
+}
+
+// BoundRectCtx is BoundRect with span hooks (see BoundRectVotes).
+func BoundRectCtx(ctx context.Context, points []geo.Point, members []int32, anchor geo.Point, scale float64, pol IncrementPolicy, cb float64) (RectBoundResult, error) {
+	return BoundRectVotes(ctx, len(members), anchor, scale, pol, cb, func(d Direction) AgreeFunc {
+		return func(i int, bound float64) bool { return d.Offset(points[members[i]], anchor) <= bound }
+	})
 }
 
 // OptimalRect is the OPT counterpart of BoundRect: the exact bounding box,

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nonexposure/internal/geo"
+	"nonexposure/internal/trace"
 )
 
 func TestProgressiveUpperBoundLinearScenario(t *testing.T) {
@@ -254,6 +258,75 @@ func TestBoundRectContainsAllMembers(t *testing.T) {
 			t.Errorf("%s: progressive rect %v does not contain the optimal rect %v",
 				pol.Name(), res.Rect, opt.Rect)
 		}
+	}
+}
+
+// zeroIncrement is a broken policy: it never grows the bound.
+type zeroIncrement struct{}
+
+func (zeroIncrement) Next(int, float64) float64 { return 0 }
+func (zeroIncrement) Name() string              { return "zero" }
+
+// TestBoundRectVotes pins the one four-direction loop: it asks
+// for votes in +x, −x, +y, −y order, reports one span per direction
+// under "core.bound", equals BoundRect when the votes are the members'
+// offsets, and names the direction a policy failure happened in.
+func TestBoundRectVotes(t *testing.T) {
+	anchor := geo.Point{X: 0.5, Y: 0.5}
+	p := geo.Point{X: 0.625, Y: 0.25}
+	for d, want := range []float64{0.125, -0.125, -0.25, 0.25} {
+		if got := Direction(d).Offset(p, anchor); got != want {
+			t.Errorf("direction %d: offset %v, want %v", d, got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	pts := make([]geo.Point, 50)
+	for i := range pts {
+		pts[i] = geo.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	members := []int32{2, 9, 14, 27, 33, 41, 48}
+	anchor = pts[members[0]]
+	scale := DefaultRectScale(len(members), len(pts))
+	pol := LinearIncrement{Step: 0.1}
+
+	root := trace.New("test")
+	var asked []Direction
+	got, err := BoundRectVotes(trace.NewContext(context.Background(), root), len(members), anchor, scale, pol, 1,
+		func(d Direction) AgreeFunc {
+			asked = append(asked, d)
+			return func(i int, bound float64) bool { return d.Offset(pts[members[i]], anchor) <= bound }
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Direction{DirXPlus, DirXMinus, DirYPlus, DirYMinus}; !reflect.DeepEqual(asked, want) {
+		t.Errorf("votes asked in order %v, want %v", asked, want)
+	}
+	want, err := BoundRect(pts, members, anchor, scale, pol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("BoundRectVotes = %+v, BoundRect = %+v", got, want)
+	}
+	if want.MeanExposure <= 0 {
+		t.Errorf("mean exposure %v, want a positive interval length", want.MeanExposure)
+	}
+	var spans []string
+	root.Walk(func(sp *trace.Span, depth int) {
+		if depth > 0 {
+			spans = append(spans, sp.Name())
+		}
+	})
+	if want := []string{"core.bound", "bound.+x", "bound.-x", "bound.+y", "bound.-y"}; !reflect.DeepEqual(spans, want) {
+		t.Errorf("spans %v, want %v", spans, want)
+	}
+
+	_, err = BoundRectVotes(context.Background(), len(members), anchor, scale, zeroIncrement{}, 1,
+		func(Direction) AgreeFunc { return func(int, float64) bool { return false } })
+	if err == nil || !strings.HasPrefix(err.Error(), "core: direction 0: ") {
+		t.Errorf("broken policy error = %v, want it to name direction 0", err)
 	}
 }
 

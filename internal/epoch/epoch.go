@@ -329,6 +329,11 @@ type Manager struct {
 	queue        []buildJob
 	building     bool
 	closed       bool
+	// pending counts triggered epochs whose waiters are not yet
+	// released: up one per trigger, down one when builderLoop releases a
+	// finished build or Close drops a queued one. Status and the pending
+	// gauge both read it.
+	pending int
 	// latest is the most recently triggered generation (nil before the
 	// first trigger). Builds run in trigger order, so once its done
 	// channel is closed every earlier build has finished too.
@@ -666,7 +671,8 @@ func (m *Manager) triggerLocked(reason string) *Generation {
 	m.lastTrigger = time.Now()
 	m.latest = gen
 	m.queue = append(m.queue, job)
-	m.em.SetPending(len(m.queue))
+	m.pending++
+	m.em.SetPending(m.pending)
 	if !m.building {
 		m.building = true
 		go m.builderLoop()
@@ -742,16 +748,18 @@ func (m *Manager) builderLoop() {
 	var built *Generation
 	for {
 		m.mu.Lock()
+		if built != nil {
+			m.pending-- // its waiters are released below
+		}
 		idle := len(m.queue) == 0 || m.closed
 		var job buildJob
 		if idle {
 			m.building = false
-			m.em.SetPending(0)
 		} else {
 			job = m.queue[0]
 			m.queue = m.queue[1:]
-			m.em.SetPending(len(m.queue) + 1) // the job itself still counts
 		}
+		m.em.SetPending(m.pending)
 		m.mu.Unlock()
 		if built != nil {
 			close(built.done)
@@ -1126,6 +1134,8 @@ func (m *Manager) Close() {
 		job.gen.BuildErr = ErrClosed
 		close(job.gen.done)
 	}
+	m.pending -= len(m.queue)
+	m.em.SetPending(m.pending)
 	m.queue = nil
 }
 
@@ -1164,7 +1174,7 @@ type Status struct {
 	UploadsSeen         uint64 // total accepted uploads
 	SinceTrigger        int    // uploads since the last trigger
 	ChangedSinceTrigger int    // distinct users changed since the last trigger
-	Pending             int    // triggered epochs not yet published
+	Pending             int    // triggered epochs whose build has not finished
 	Builds              uint64
 	Swaps               uint64
 	LastBuildDuration   time.Duration
@@ -1183,14 +1193,11 @@ func (m *Manager) Status() Status {
 		UploadsSeen:         m.seq,
 		SinceTrigger:        m.uploadsSince,
 		ChangedSinceTrigger: len(m.changed),
-		Pending:             len(m.queue),
+		Pending:             m.pending,
 		Builds:              m.builds,
 		Swaps:               m.swaps,
 		LastBuildDuration:   m.lastBuildDur,
 		Policy:              m.policy,
-	}
-	if m.building {
-		st.Pending++
 	}
 	if gen != nil {
 		st.Epoch = gen.Epoch

@@ -481,6 +481,58 @@ func TestCloseReleasesParkedSync(t *testing.T) {
 	})
 }
 
+// TestPendingCountsEachTriggerOnce pins that Status().Pending and the
+// pending-builds gauge read one count: each triggered epoch counts once
+// from its trigger until its build finishes, whether it is queued,
+// taken by builderLoop, or in flight. The area estimator holds the
+// first build in flight.
+func TestPendingCountsEachTriggerOnce(t *testing.T) {
+	const n = 12
+	ring := ringUploads(n)
+	prof := &core.Profile{MaxArea: 10} // non-default, so the build calls the estimator
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	est := func([]int32) (float64, bool) {
+		once.Do(func() { close(entered) })
+		<-release
+		return 1, true
+	}
+	em := metrics.NewEpochMetrics()
+	m, err := New(n, WithK(2), WithAreaEstimator(est), WithMetrics(em))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	check := func(when string, want int) {
+		t.Helper()
+		if st, gauge := m.Status().Pending, em.Snapshot().Pending; st != want || gauge != want {
+			t.Errorf("%s: Status().Pending = %d, gauge = %d, want %d", when, st, gauge, want)
+		}
+	}
+	for u := int32(0); u < n; u++ {
+		if err := m.Upload(bg, UploadRequest{User: u, Peers: ring[u], Profile: prof}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Rotate(bg); err != nil {
+		t.Fatal(err)
+	}
+	check("after the first Rotate", 1)
+	<-entered
+	if err := m.Upload(bg, UploadRequest{User: 0, Peers: ring[1], Profile: prof}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Rotate(bg); err != nil {
+		t.Fatal(err)
+	}
+	check("build 1 in flight, epoch 2 queued", 2)
+	close(release)
+	if err := m.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	check("after Sync", 0)
+}
+
 // scripted is a deterministic upload script: a fixed sequence of
 // (user, peers) derived from a seeded PRNG, with churn that re-ranks a
 // user's view of the ring.

@@ -9,15 +9,14 @@ import (
 )
 
 // ClusterMetrics instruments the coordinator tier: how many shards it
-// fronts, how many operations it routed to them (by op), how many
-// uploads it replayed across shard boundaries to keep border components
-// whole, and how far each shard's published epoch lags the freshest one.
+// fronts, how many operations it routed to them (by op), how many users
+// it re-homed across shards (border components kept whole, fail-overs),
+// and how far each shard's published epoch lags the freshest one.
 // All methods are nil-safe so the coordinator hot path never branches on
 // "metrics attached?".
 type ClusterMetrics struct {
 	shards        atomic.Int64
 	borderReplays atomic.Uint64
-	reroutes      atomic.Uint64
 	rotations     atomic.Uint64
 	batches       atomic.Uint64
 	batchedOps    atomic.Uint64
@@ -110,22 +109,15 @@ func (m *ClusterMetrics) ObserveRouted(op string) {
 	m.mu.Unlock()
 }
 
-// ObserveBorderReplays counts uploads replayed to a different shard
-// because their WPG component straddled a shard boundary.
+// ObserveBorderReplays counts users re-homed to a different shard at a
+// rotation: those whose WPG component straddled a shard boundary and
+// those failed over off a dead shard. Each re-home replays the user's
+// upload onto its new home.
 func (m *ClusterMetrics) ObserveBorderReplays(n int) {
 	if m == nil || n <= 0 {
 		return
 	}
 	m.borderReplays.Add(uint64(n))
-}
-
-// ObserveReroutes counts users whose home shard changed at a rotation
-// (each also costs one tombstone upload to the former shard).
-func (m *ClusterMetrics) ObserveReroutes(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.reroutes.Add(uint64(n))
 }
 
 // ObserveRotation counts one completed cluster-wide rotation.
@@ -163,7 +155,6 @@ type ClusterSnapshot struct {
 	Routed        []RoutedOp
 	RoutedTotal   uint64
 	BorderReplays uint64
-	Reroutes      uint64
 	Rotations     uint64
 	ShardEpochs   []uint64
 	EpochLag      []uint64
@@ -188,7 +179,6 @@ func (m *ClusterMetrics) Snapshot() ClusterSnapshot {
 	snap := ClusterSnapshot{
 		Shards:        int(m.shards.Load()),
 		BorderReplays: m.borderReplays.Load(),
-		Reroutes:      m.reroutes.Load(),
 		Rotations:     m.rotations.Load(),
 		Batches:       m.batches.Load(),
 		BatchedOps:    m.batchedOps.Load(),
@@ -220,8 +210,8 @@ func (m *ClusterMetrics) Snapshot() ClusterSnapshot {
 // String renders a one-line operator summary.
 func (s ClusterSnapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "shards=%d routed=%d border_replays=%d reroutes=%d rotations=%d batches=%d failovers=%d",
-		s.Shards, s.RoutedTotal, s.BorderReplays, s.Reroutes, s.Rotations, s.Batches, s.Failovers)
+	fmt.Fprintf(&b, "shards=%d routed=%d border_replays=%d rotations=%d batches=%d failovers=%d",
+		s.Shards, s.RoutedTotal, s.BorderReplays, s.Rotations, s.Batches, s.Failovers)
 	if len(s.ShardEpochs) > 0 {
 		b.WriteString(" epochs=[")
 		for i, e := range s.ShardEpochs {

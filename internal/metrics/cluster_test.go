@@ -10,7 +10,6 @@ func TestClusterMetricsNilSafe(t *testing.T) {
 	m.SetShards(3)
 	m.ObserveRouted("upload")
 	m.ObserveBorderReplays(1)
-	m.ObserveReroutes(1)
 	m.ObserveRotation()
 	m.SetShardEpoch(0, 1)
 	if snap := m.Snapshot(); snap.Shards != 0 || snap.RoutedTotal != 0 {
@@ -26,7 +25,6 @@ func TestClusterSnapshotLagAndString(t *testing.T) {
 	m.ObserveRouted("cloak")
 	m.ObserveBorderReplays(5)
 	m.ObserveBorderReplays(0) // no-op
-	m.ObserveReroutes(5)
 	m.ObserveRotation()
 	m.SetShardEpoch(0, 7)
 	m.SetShardEpoch(1, 7)

@@ -134,8 +134,8 @@ func (m *EpochMetrics) ObserveSwap() {
 	m.lastSwapNs.Store(time.Now().UnixNano())
 }
 
-// SetPending records the current depth of the build queue (triggered
-// epochs not yet published).
+// SetPending records how many triggered epochs have not finished
+// building, the one in flight included.
 func (m *EpochMetrics) SetPending(n int) {
 	if m == nil {
 		return

@@ -1,6 +1,10 @@
 package p2p
 
-import "fmt"
+import (
+	"fmt"
+
+	"nonexposure/internal/core"
+)
 
 // This file is the transport fault model. The uniform Config.LossRate is
 // the paper's original Section VII robustness knob; a FaultPlan layers the
@@ -119,7 +123,7 @@ type TraceEvent struct {
 	// transmission belongs to.
 	Attempt int
 	Reason  DropReason
-	Dir     Direction
+	Dir     core.Direction
 	Bound   float64
 	Agree   bool
 }
@@ -194,7 +198,7 @@ func (n *Network) recordServed(v int32) {
 }
 
 // trace emits one TraceEvent if the network has a trace hook.
-func (n *Network) trace(from, to int32, kind Kind, reply bool, attempt int, reason DropReason, dir Direction, bound float64, agree bool) {
+func (n *Network) trace(from, to int32, kind Kind, reply bool, attempt int, reason DropReason, dir core.Direction, bound float64, agree bool) {
 	if n.cfg.Trace == nil {
 		return
 	}

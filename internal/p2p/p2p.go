@@ -4,17 +4,20 @@
 // purely through request/reply messages.
 //
 // The package exists to demonstrate (and test) that the algorithms in
-// internal/core run unchanged over real message passing — the host-side
-// logic consumes the same AdjacencySource and vote interfaces — and to
-// model the paper's Section VII robustness concern: messages can be lost,
-// and requests are retried a bounded number of times.
+// internal/core run unchanged over real message passing — and to model
+// the paper's Section VII robustness concern: messages can be lost, and
+// requests are retried a bounded number of times. The host-side logic is
+// core's: phase 1 is core.DistributedTConn over a NetSource, and phase 2
+// is core.BoundRectVotes with a probe per vote, answered by the node
+// with core.Direction's Offset of its private location.
 package p2p
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,18 +38,6 @@ const (
 	KindBoundVote
 )
 
-// Direction identifies which side of the cloaked rectangle a bound probe
-// concerns.
-type Direction uint8
-
-// The four scalar bounding directions.
-const (
-	DirXPlus Direction = iota
-	DirXMinus
-	DirYPlus
-	DirYMinus
-)
-
 // Message is one protocol message. Reply channels make request/reply
 // pairing explicit without any global dispatcher.
 type Message struct {
@@ -57,7 +48,7 @@ type Message struct {
 	Adjacency []wpg.Edge
 
 	// Bound-probe payload (KindBoundProbe / KindBoundVote).
-	Dir    Direction
+	Dir    core.Direction
 	Anchor geo.Point
 	Bound  float64
 	Agree  bool
@@ -205,28 +196,13 @@ func (n *Network) serve(nd *node) {
 				rep = Message{
 					From: nd.id, To: msg.From, Kind: KindBoundVote,
 					Dir: msg.Dir, Bound: msg.Bound,
-					Agree: offsetOf(nd.loc, msg.Anchor, msg.Dir) <= msg.Bound,
+					Agree: msg.Dir.Offset(nd.loc, msg.Anchor) <= msg.Bound,
 				}
 			default:
 				rep = Message{From: nd.id, To: msg.From}
 			}
 			msg.reply <- rep
 		}
-	}
-}
-
-// offsetOf is the node-local projection of loc onto a bounding direction
-// relative to the probe's anchor.
-func offsetOf(loc, anchor geo.Point, dir Direction) float64 {
-	switch dir {
-	case DirXPlus:
-		return loc.X - anchor.X
-	case DirXMinus:
-		return anchor.X - loc.X
-	case DirYPlus:
-		return loc.Y - anchor.Y
-	default:
-		return anchor.Y - loc.Y
 	}
 }
 
@@ -331,24 +307,24 @@ func (n *Network) DistributedTConn(host int32, k int, reg *core.Registry) (*core
 }
 
 // BoundRect runs the phase-2 secure bounding protocol over the network:
-// four scalar directions, one bound-probe round trip per disagreeing
-// member per round. The anchor is the host's own (local, private)
-// location. Unreachable members are treated as agreeing so the protocol
-// terminates; the returned result records them in Degraded (the rectangle
-// is not guaranteed to contain them) and the error reports the
-// degradation.
+// core.BoundRectVotes with one bound-probe round trip per disagreeing
+// member per round, anchored at the host's own (local, private)
+// location, where the host votes without a message. Unreachable members
+// are treated as agreeing so the protocol terminates; the returned result
+// records them in Degraded (the rectangle is not guaranteed to contain
+// them) and the error reports the degradation.
 func (n *Network) BoundRect(host int32, members []int32, scale float64, pol core.IncrementPolicy, cb float64) (core.RectBoundResult, error) {
 	if int(host) < 0 || int(host) >= len(n.nodes) {
 		return core.RectBoundResult{}, fmt.Errorf("p2p: no such host %d", host)
 	}
 	anchor := n.nodes[host].loc
 	var transportErr error
-	degraded := make(map[int32]bool)
-	voteFor := func(dir Direction) core.AgreeFunc {
+	var degraded []int32
+	res, err := core.BoundRectVotes(context.Background(), len(members), anchor, scale, pol, cb, func(dir core.Direction) core.AgreeFunc {
 		return func(i int, bound float64) bool {
 			m := members[i]
 			if m == host {
-				return offsetOf(anchor, anchor, dir) <= bound
+				return dir.Offset(anchor, anchor) <= bound
 			}
 			rep, err := n.Request(m, Message{
 				From: host, Kind: KindBoundProbe,
@@ -356,34 +332,16 @@ func (n *Network) BoundRect(host int32, members []int32, scale float64, pol core
 			})
 			if err != nil {
 				transportErr = errors.Join(transportErr, err)
-				degraded[m] = true
+				degraded = append(degraded, m)
 				return true // unreachable: assume agreement, surface the error
 			}
 			return rep.Agree
 		}
+	})
+	if err != nil {
+		return core.RectBoundResult{}, fmt.Errorf("p2p: %w", err)
 	}
-
-	var bounds [4]float64
-	var res core.RectBoundResult
-	for _, dir := range []Direction{DirXPlus, DirXMinus, DirYPlus, DirYMinus} {
-		r, err := core.ProgressiveUpperBoundVotes(len(members), scale, pol, cb, voteFor(dir))
-		if err != nil {
-			return core.RectBoundResult{}, fmt.Errorf("p2p: direction %d: %w", dir, err)
-		}
-		bounds[dir] = r.Bound
-		res.Rounds += r.Rounds
-		res.Messages += r.Messages
-	}
-	if len(degraded) > 0 {
-		res.Degraded = make([]int32, 0, len(degraded))
-		for m := range degraded {
-			res.Degraded = append(res.Degraded, m)
-		}
-		sort.Slice(res.Degraded, func(i, j int) bool { return res.Degraded[i] < res.Degraded[j] })
-	}
-	res.Rect = geo.Rect{
-		Min: geo.Point{X: anchor.X - bounds[DirXMinus], Y: anchor.Y - bounds[DirYMinus]},
-		Max: geo.Point{X: anchor.X + bounds[DirXPlus], Y: anchor.Y + bounds[DirYPlus]},
-	}
+	slices.Sort(degraded)
+	res.Degraded = slices.Compact(degraded)
 	return res, transportErr
 }

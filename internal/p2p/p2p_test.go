@@ -136,27 +136,41 @@ func TestBoundRectOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := core.DefaultRectScale(c.Size(), g.NumVertices())
-	pol := core.NewSecureIncrement(1, 1000)
-	res, err := net.BoundRect(host, c.Members, scale, pol, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range c.Members {
-		if !res.Rect.Contains(locs[m]) {
-			t.Errorf("member %d at %v outside network-bounded rect %v", m, locs[m], res.Rect)
+	multiRound := false // some member agreed after round 1, so exposure is compared
+	for _, pol := range []core.IncrementPolicy{
+		core.NewSecureIncrement(1, 1000),
+		core.LinearIncrement{Step: 0.05},
+		core.ExpIncrement{Init: 0.25},
+	} {
+		before := net.RoundTrips()
+		res, err := net.BoundRect(host, c.Members, scale, pol, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range c.Members {
+			if !res.Rect.Contains(locs[m]) {
+				t.Errorf("%s: member %d at %v outside network-bounded rect %v", pol.Name(), m, locs[m], res.Rect)
+			}
+		}
+
+		// The same protocol run locally must agree exactly: rectangle,
+		// rounds, messages, exposure, and no degraded member.
+		local, err := core.BoundRect(locs, c.Members, locs[host], scale, pol, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, local) {
+			t.Errorf("%s: network result %+v != local %+v", pol.Name(), res, local)
+		}
+		multiRound = multiRound || local.MeanExposure > 0
+		// One probe round trip per remote vote. The host votes locally,
+		// and its zero offset agrees in the first round of each direction.
+		if got, want := net.RoundTrips()-before, uint64(res.Messages)-4; got != want {
+			t.Errorf("%s: %d probe round trips, want %d (messages less the host's 4 votes)", pol.Name(), got, want)
 		}
 	}
-
-	// The same protocol run locally must agree exactly.
-	local, err := core.BoundRect(locs, c.Members, locs[host], scale, pol, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.Rect != res.Rect {
-		t.Errorf("network rect %v != local rect %v", res.Rect, local.Rect)
-	}
-	if local.Messages != res.Messages {
-		t.Errorf("network messages %v != local %v", res.Messages, local.Messages)
+	if !multiRound {
+		t.Error("no policy took a second round: MeanExposure was never exercised")
 	}
 }
 
@@ -293,16 +307,16 @@ func TestBoundProbeDirections(t *testing.T) {
 	defer net.Close()
 	anchor := locs[0]
 	cases := []struct {
-		dir   Direction
+		dir   core.Direction
 		bound float64
 		agree bool
 	}{
-		{DirXPlus, 0.2, true},
-		{DirXPlus, 0.1, false},
-		{DirXMinus, 0.0, true}, // node is to the right: -x offset negative
-		{DirYPlus, 0.0, true},  // node is below: +y offset negative
-		{DirYMinus, 0.3, true},
-		{DirYMinus, 0.2, false},
+		{core.DirXPlus, 0.2, true},
+		{core.DirXPlus, 0.1, false},
+		{core.DirXMinus, 0.0, true}, // node is to the right: -x offset negative
+		{core.DirYPlus, 0.0, true},  // node is below: +y offset negative
+		{core.DirYMinus, 0.3, true},
+		{core.DirYMinus, 0.2, false},
 	}
 	for _, tc := range cases {
 		rep, err := net.Request(2, Message{

@@ -13,22 +13,12 @@
 package privacy
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"nonexposure/internal/core"
 	"nonexposure/internal/geo"
-)
-
-// Direction indexes the four scalar bounding runs.
-type Direction int
-
-// The four directions in BoundRect order.
-const (
-	XPlus Direction = iota
-	XMinus
-	YPlus
-	YMinus
 )
 
 // DirectionLog is the public transcript of one scalar direction.
@@ -46,57 +36,41 @@ type DirectionLog struct {
 type Transcript struct {
 	Anchor  geo.Point
 	Members []int32
-	Logs    [4]DirectionLog
+	// Logs is indexed by core.Direction.
+	Logs [4]DirectionLog
 }
 
-// Record runs the four-direction bounding protocol exactly like
-// core.BoundRect while recording the public transcript. It returns the
-// transcript alongside the protocol result (which matches what
-// core.BoundRect would produce for the same inputs).
+// Record runs the four-direction bounding protocol of core.BoundRect,
+// voting each member's offset, while recording the public transcript.
+// It returns the transcript alongside the protocol result (which matches
+// what core.BoundRect produces for the same inputs).
 func Record(points []geo.Point, members []int32, anchor geo.Point, scale float64, pol core.IncrementPolicy, cb float64) (*Transcript, core.RectBoundResult, error) {
 	tr := &Transcript{Anchor: anchor, Members: append([]int32(nil), members...)}
-	offsetFns := []func(geo.Point) float64{
-		func(p geo.Point) float64 { return p.X - anchor.X },
-		func(p geo.Point) float64 { return anchor.X - p.X },
-		func(p geo.Point) float64 { return p.Y - anchor.Y },
-		func(p geo.Point) float64 { return anchor.Y - p.Y },
-	}
-
-	var bounds [4]float64
-	var res core.RectBoundResult
-	for dir := 0; dir < 4; dir++ {
-		log := DirectionLog{AgreeRound: make([]int, len(members))}
+	res, err := core.BoundRectVotes(context.Background(), len(members), anchor, scale, pol, cb, func(d core.Direction) core.AgreeFunc {
+		log := &tr.Logs[d]
+		log.AgreeRound = make([]int, len(members))
 		lastBound := math.NaN()
-		agree := func(i int, bound float64) bool {
+		return func(i int, bound float64) bool {
 			if bound != lastBound {
 				log.Bounds = append(log.Bounds, bound)
 				lastBound = bound
 			}
-			ok := offsetFns[dir](points[members[i]]) <= bound
+			ok := d.Offset(points[members[i]], anchor) <= bound
 			if ok {
 				log.AgreeRound[i] = len(log.Bounds)
 			}
 			return ok
 		}
-		r, err := core.ProgressiveUpperBoundVotes(len(members), scale, pol, cb, agree)
-		if err != nil {
-			return nil, core.RectBoundResult{}, fmt.Errorf("privacy: direction %d: %w", dir, err)
-		}
-		bounds[dir] = r.Bound
-		res.Rounds += r.Rounds
-		res.Messages += r.Messages
-		tr.Logs[dir] = log
-	}
-	res.Rect = geo.Rect{
-		Min: geo.Point{X: anchor.X - bounds[XMinus], Y: anchor.Y - bounds[YMinus]},
-		Max: geo.Point{X: anchor.X + bounds[XPlus], Y: anchor.Y + bounds[YPlus]},
+	})
+	if err != nil {
+		return nil, core.RectBoundResult{}, fmt.Errorf("privacy: %w", err)
 	}
 	return tr, res, nil
 }
 
 // interval returns the (lo, hi] offset interval direction dir pins member
 // i into. lo is -Inf when the member agreed with the very first bound.
-func (t *Transcript) interval(dir Direction, i int) (lo, hi float64) {
+func (t *Transcript) interval(dir core.Direction, i int) (lo, hi float64) {
 	log := t.Logs[dir]
 	round := log.AgreeRound[i]
 	if round < 1 || round > len(log.Bounds) {
@@ -118,10 +92,10 @@ func (t *Transcript) Knowledge(i int) geo.Rect {
 	if i < 0 || i >= len(t.Members) {
 		return geo.EmptyRect()
 	}
-	xLoP, xHiP := t.interval(XPlus, i)  // anchor.X + (lo, hi]
-	xLoM, xHiM := t.interval(XMinus, i) // anchor.X - [hi, lo)
-	yLoP, yHiP := t.interval(YPlus, i)
-	yLoM, yHiM := t.interval(YMinus, i)
+	xLoP, xHiP := t.interval(core.DirXPlus, i)  // anchor.X + (lo, hi]
+	xLoM, xHiM := t.interval(core.DirXMinus, i) // anchor.X - [hi, lo)
+	yLoP, yHiP := t.interval(core.DirYPlus, i)
+	yLoM, yHiM := t.interval(core.DirYMinus, i)
 
 	r := geo.Rect{
 		Min: geo.Point{

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nonexposure/internal/core"
@@ -40,11 +41,8 @@ func TestRecordMatchesBoundRect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rect != want.Rect {
-			t.Errorf("%s: recorded rect %v != direct %v", pol.Name(), res.Rect, want.Rect)
-		}
-		if res.Messages != want.Messages {
-			t.Errorf("%s: recorded messages %v != direct %v", pol.Name(), res.Messages, want.Messages)
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("%s: recorded result %+v != direct %+v", pol.Name(), res, want)
 		}
 		if tr == nil || len(tr.Members) != len(members) {
 			t.Fatalf("%s: bad transcript", pol.Name())

@@ -214,7 +214,8 @@ func checkAccounting(r *Report) error {
 // local in-process reference implementation — core.DistributedTConn over
 // a GraphSource (whose step-3 refinement is core.CentralizedTConn on the
 // spanned subgraph) followed by core.BoundRect local bounding — and
-// demands bit-identical results: members, costs, and rectangle.
+// demands bit-identical results: members, costs, mean exposure, and
+// rectangle.
 func checkLosslessDifferential(r *Report) error {
 	sc := r.Scenario
 	if sc.Kind != FaultNone {
@@ -255,9 +256,11 @@ func checkLosslessDifferential(r *Report) error {
 		if local.Rect != run.Bound.Rect {
 			return fmt.Errorf("run %d: net rect %v != local rect %v", i, run.Bound.Rect, local.Rect)
 		}
-		if local.Rounds != run.Bound.Rounds || local.Messages != run.Bound.Messages {
-			return fmt.Errorf("run %d: bounding cost diverges: net {r=%d m=%v} local {r=%d m=%v}",
-				i, run.Bound.Rounds, run.Bound.Messages, local.Rounds, local.Messages)
+		if local.Rounds != run.Bound.Rounds || local.Messages != run.Bound.Messages ||
+			local.MeanExposure != run.Bound.MeanExposure {
+			return fmt.Errorf("run %d: bounding cost diverges: net {r=%d m=%v exp=%v} local {r=%d m=%v exp=%v}",
+				i, run.Bound.Rounds, run.Bound.Messages, run.Bound.MeanExposure,
+				local.Rounds, local.Messages, local.MeanExposure)
 		}
 		if len(run.Bound.Degraded) != 0 {
 			return fmt.Errorf("run %d: lossless run reported degraded members %v", i, run.Bound.Degraded)

@@ -66,10 +66,16 @@ fi
 # one component pool; its unexported clampWorkers stays), the epoch
 # build's per-shard spans (core.component/<i> now), the never-observed
 # StageOverhead, and Coordinator.Ping (the ping op and the client keep
-# the name). None may come back.
+# the name). Secure bounding has one four-direction loop,
+# core.BoundRectVotes, and one direction type, core.Direction: p2p's
+# offsetOf and Dir constants and privacy's XPlus..YMinus are gone, and
+# NetworkSystem serves through System's Cloak. The coordinator's second
+# re-home counter (ObserveReroutes, ClusterSnapshot.Reroutes and
+# cloakd_cluster_reroutes_total) always equalled the border-replay
+# counter. None may come back.
 echo "==> no deleted test-only names"
-if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)|\.Induced\(|ExposurePriceAtDefaults|runGridCell|core\.ClampWorkers|func ClampWorkers\(|StageOverhead|epoch\.build\.shard|func \(c \*Coordinator\) Ping' --include='*.go' .; then
-    echo "deleted name found (call ClusterComponentProfiled(..., nil), core.ClusterComponents, anonymizer.Build or anonymizer.New, LocalWander, RunExposureComparison or scripts/bench run instead)" >&2
+if grep -rnE '\bClusterComponent\(|\bRegisterCentralizedParallel\(|RegisterCentralizedParallelCtx|RandomWaypoint|mobility\.Model\b|\.Built\(\)|anonymizer\.NewServer|anonymizer\.With(K|Workers|Epoch)|HotspotHosts|ReadCSV|ReadGob|WriteCSV|WriteGob|\.Normalize\(\)|\.Induced\(|ExposurePriceAtDefaults|runGridCell|core\.ClampWorkers|func ClampWorkers\(|StageOverhead|epoch\.build\.shard|func \(c \*Coordinator\) Ping|func offsetOf\(|p2p\.Dir(X|Y)|\b(X|Y)(Plus|Minus)\b|func \(ns \*NetworkSystem\) Cloak\(|ObserveReroutes|reroutes_total|\.Reroutes\b' --include='*.go' .; then
+    echo "deleted name found (call ClusterComponentProfiled(..., nil), core.ClusterComponents, anonymizer.Build or anonymizer.New, LocalWander, RunExposureComparison, scripts/bench run, core.BoundRectVotes with core.Direction, System.Cloak or BorderReplays instead)" >&2
     exit 1
 fi
 
@@ -161,12 +167,27 @@ go test -race -count=1 -cpu 1,2 -run='^TestClusterComponentsAndMerge$' ./interna
 # triggered before it (two queued builds included), Close releases a
 # Sync parked on a build it dropped and an in-flight build releases
 # its own when it finishes, a synchronous rotation leaves nothing
-# pending, Status pairs each epoch with its counts, and uploads and
-# cloaks race across swaps.
+# pending, Status and the pending gauge count each triggered epoch once
+# until its build finishes, Status pairs each epoch with its counts, and
+# uploads and cloaks race across swaps.
 echo "==> go test -race -run=Sync and lifecycle tests"
 go test -race -count=1 -cpu 1,2 \
-    -run='^(TestSyncHonorsContext|TestSyncWaitsBehindQueuedBuilds|TestCloseReleasesParkedSync|TestRotateAndWaitLeavesNothingPending|TestConcurrentUploadsAndCloaksAcrossSwaps|TestStatusEpochMatchesCounts)$' \
+    -run='^(TestSyncHonorsContext|TestSyncWaitsBehindQueuedBuilds|TestCloseReleasesParkedSync|TestRotateAndWaitLeavesNothingPending|TestPendingCountsEachTriggerOnce|TestConcurrentUploadsAndCloaksAcrossSwaps|TestStatusEpochMatchesCounts)$' \
     ./internal/epoch
+
+# The one two-phase request, by name and under the race detector: a
+# NetworkSystem answers every progressive bound exactly as the
+# in-process System does (cached flags included), its CloakCtx goes
+# over the wire, and it rejects BoundOptimal; the network's bounding
+# equals core.BoundRect's whole result, and a node votes with
+# core.Direction's offset.
+echo "==> go test -race -run=network-equivalence tests"
+go test -race -count=1 -cpu 1,2 \
+    -run='^(TestNetworkSystemMatchesInProcess|TestNetworkSystemCloakCtxUsesNetwork|TestNetworkSystemBoundValidation)$' \
+    ./cloak
+go test -race -count=1 -cpu 1,2 \
+    -run='^(TestBoundRectOverNetwork|TestBoundProbeDirections)$' \
+    ./internal/p2p
 
 # The personalized-profile contract, by name: default profiles are
 # bit-identical to no profiles, heterogeneous floors satisfy max(k_i).
@@ -281,6 +302,26 @@ echo "==> cloaksim -faults smoke"
 faults_out=$(go run ./cmd/cloaksim -faults 200)
 echo "$faults_out" | grep -q 'all invariants held' \
     || { echo "faults smoke: invariants violated:" >&2; echo "$faults_out" >&2; exit 1; }
+
+# Network-equivalence smoke: one cloak request run in process and over
+# the simulated message network must print the same cluster, region and
+# bounding lines, under the secure and the linear policy.
+echo "==> cloaksim -network equivalence smoke"
+simdir=$(mktemp -d)
+go build -o "$simdir/cloaksim" ./cmd/cloaksim
+for bound in secure linear; do
+    inproc=$("$simdir/cloaksim" -n 3000 -k 10 -host 17 -bound "$bound" | grep -E '^(cluster|cloaked region|bounding):')
+    overnet=$("$simdir/cloaksim" -n 3000 -k 10 -host 17 -bound "$bound" -network | grep -E '^(cluster|cloaked region|bounding):')
+    if [ "$(echo "$inproc" | wc -l)" -ne 3 ] || [ "$inproc" != "$overnet" ]; then
+        echo "network smoke ($bound): in-process and network runs differ:" >&2
+        echo "$inproc" >&2
+        echo "---" >&2
+        echo "$overnet" >&2
+        rm -rf "$simdir"
+        exit 1
+    fi
+done
+rm -rf "$simdir"
 
 # Load-generator smoke: the Zipf replay against an anonymizer built
 # before the replay; hard cloak failures already exit nonzero on their
